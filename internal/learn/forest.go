@@ -3,6 +3,7 @@ package learn
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"gdr/internal/par"
 )
@@ -86,29 +87,42 @@ func (v Votes) Uncertainty() float64 {
 // Forest is a trained random-forest committee.
 type Forest struct {
 	trees []*node
-	nCats int
+	dicts []dict // per categorical feature: value → the code its trees split on
 }
+
+// builders pools tree builders (a reseeded RNG and scratch buffers), so a
+// retrain allocates little beyond the trees themselves.
+var builders = sync.Pool{New: func() any { return &builder{rng: rand.New(rand.NewSource(1))} }}
 
 // Train grows a random forest over the examples. All examples must share the
 // same categorical arity. Training with no examples returns nil.
 func Train(examples []Example, cfg Config) *Forest {
-	if len(examples) == 0 {
+	var e encoding
+	for _, ex := range examples {
+		e.add(ex)
+	}
+	return e.train(cfg)
+}
+
+// train grows a forest over the encoded training set.
+func (e *encoding) train(cfg Config) *Forest {
+	if len(e.labels) == 0 {
 		return nil
 	}
 	cfg = cfg.withDefaults()
-	nCats := len(examples[0].Cats)
+	nCats := len(e.cols)
 	mtry := cfg.Mtry
 	if mtry <= 0 {
 		mtry = int(math.Ceil(math.Sqrt(float64(nCats + 1))))
 	}
 	tc := treeConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, mtry: mtry, nCats: nCats}
-	nSample := int(math.Ceil(cfg.SampleFrac * float64(len(examples))))
+	nSample := int(math.Ceil(cfg.SampleFrac * float64(len(e.labels))))
 	if nSample < 1 {
 		nSample = 1
 	}
 	var byLabel [NumLabels][]int
-	for i, ex := range examples {
-		byLabel[ex.Label] = append(byLabel[ex.Label], i)
+	for i, l := range e.labels {
+		byLabel[l] = append(byLabel[l], i)
 	}
 	var classes [][]int
 	for _, idxs := range byLabel {
@@ -116,44 +130,66 @@ func Train(examples []Example, cfg Config) *Forest {
 			classes = append(classes, idxs)
 		}
 	}
+	if cfg.Unbalanced || len(classes) < 2 {
+		classes = nil
+	}
+	f := &Forest{trees: make([]*node, cfg.K), dicts: make([]dict, nCats)}
+	codes := make([][]int32, nCats)
+	maxCard := 0
+	for i := range e.cols {
+		col := &e.cols[i]
+		col.refresh()
+		f.dicts[i], codes[i] = col.dict, col.ranked
+		maxCard = max(maxCard, len(col.rank))
+	}
 	// Derive one seed per tree up front from the configured seed: each tree's
 	// bootstrap and split draws come from its own RNG, so the committee is
 	// reproducible for a given Seed regardless of Workers or the order the
 	// trees finish growing in.
-	seedRNG := rand.New(rand.NewSource(cfg.Seed))
 	seeds := make([]int64, cfg.K)
+	b := builders.Get().(*builder)
+	b.rng.Seed(cfg.Seed)
 	for k := range seeds {
-		seeds[k] = seedRNG.Int63()
+		seeds[k] = b.rng.Int63()
 	}
-	f := &Forest{nCats: nCats, trees: make([]*node, cfg.K)}
+	builders.Put(b)
 	par.ForEach(par.Workers(cfg.Workers), cfg.K, func(k int) error {
-		rng := rand.New(rand.NewSource(seeds[k]))
-		idx := make([]int, nSample)
-		if cfg.Unbalanced || len(classes) < 2 {
-			for i := range idx {
-				idx[i] = rng.Intn(len(examples))
-			}
-		} else {
-			for i := range idx {
-				class := classes[i%len(classes)]
-				idx[i] = class[rng.Intn(len(class))]
-			}
+		b := builders.Get().(*builder)
+		b.rng.Seed(seeds[k])
+		b.cfg, b.codes, b.sims, b.labels = tc, codes, e.sims, e.labels
+		if len(b.sizes) < maxCard {
+			b.sizes = make([]int, maxCard)
+			b.counts = make([][NumLabels]int, maxCard)
 		}
-		f.trees[k] = buildTree(examples, idx, tc, rng, 0)
+		f.trees[k] = b.grow(b.sample(nSample, classes), 0)
+		b.codes, b.sims, b.labels = nil, nil, nil
+		builders.Put(b)
 		return nil
 	})
 	return f
 }
 
+// maxStackArity is the largest categorical arity Predict handles without
+// allocating.
+const maxStackArity = 32
+
 // Predict classifies a feature vector: each committee member votes and the
 // majority label wins. It panics if cats does not match the training arity.
 func (f *Forest) Predict(cats []string, sim float64) (Label, Votes) {
-	if len(cats) != f.nCats {
+	if len(cats) != len(f.dicts) {
 		panic("learn: feature arity mismatch")
+	}
+	var buf [maxStackArity]int32
+	q := query{cats: cats, dicts: f.dicts, codes: buf[:0], sim: sim}
+	if len(cats) > len(buf) {
+		q.codes = make([]int32, 0, len(cats))
+	}
+	for range cats {
+		q.codes = append(q.codes, notEncoded)
 	}
 	var v Votes
 	for _, t := range f.trees {
-		v[t.classify(cats, sim)] += 1
+		v[t.classify(&q)] += 1
 	}
 	for i := range v {
 		v[i] /= float64(len(f.trees))
@@ -170,6 +206,7 @@ type Model struct {
 	cfg      Config
 	minTrain int
 	examples []Example
+	enc      encoding // examples' features as codes, kept in step by Add
 	forest   *Forest
 	stale    bool
 	retrains int64
@@ -184,9 +221,11 @@ func NewModel(cfg Config, minTrain int) *Model {
 	return &Model{cfg: cfg, minTrain: minTrain, stale: true}
 }
 
-// Add appends a training example (the user's feedback on one update).
+// Add appends a training example (the user's feedback on one update). It
+// panics if the example's categorical arity differs from the first one's.
 func (m *Model) Add(ex Example) {
 	ex.Cats = append([]string(nil), ex.Cats...)
+	m.enc.add(ex)
 	m.examples = append(m.examples, ex)
 	m.stale = true
 }
@@ -231,6 +270,6 @@ func (m *Model) Predict(cats []string, sim float64) (label Label, votes Votes, o
 func (m *Model) train() {
 	cfg := m.cfg
 	cfg.Seed = cfg.Seed*31 + int64(len(m.examples)) + m.retrains
-	m.forest = Train(m.examples, cfg)
+	m.forest = m.enc.train(cfg)
 	m.stale = false
 }

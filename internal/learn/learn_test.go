@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gdr/internal/dataset"
+	"gdr/internal/par"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 5e-3 }
@@ -269,5 +272,81 @@ func BenchmarkForestPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Predict(ex.Cats, ex.Sim)
+	}
+}
+
+// TestForestPredictZeroAlloc pins Forest.Predict to zero allocations: the
+// query is encoded into a stack buffer, and VOI scoring calls Predict for
+// every pending update. The CI alloc-guard step runs this test.
+func TestForestPredictZeroAlloc(t *testing.T) {
+	if par.RaceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	exs := hospitalExamples(300)
+	f := Train(exs, Config{K: 10, Seed: 1})
+	unseen := append([]string{"nobody"}, exs[0].Cats[1:]...)
+	allocs := testing.AllocsPerRun(100, func() {
+		f.Predict(exs[7].Cats, exs[7].Sim)
+		f.Predict(unseen, 0.5)
+	})
+	if allocs != 0 {
+		t.Errorf("Forest.Predict cost %v allocs, want 0", allocs)
+	}
+}
+
+// hospitalExamples builds n training examples shaped like the engine's on
+// the hospital dataset: the dirty tuple's values plus a suggested value
+// (schema arity + 1 categorical features, several of them near-unique per
+// tuple), labelled confirm when the suggestion is the true value, retain
+// when the suggestion would overwrite a clean cell, reject otherwise.
+func hospitalExamples(n int) []Example {
+	d := dataset.Hospital(dataset.Config{N: 2000, Seed: 1})
+	rng := rand.New(rand.NewSource(2))
+	cells, err := d.Dirty.DiffCells(d.Truth)
+	if err != nil {
+		panic(err)
+	}
+	exs := make([]Example, 0, n)
+	for len(exs) < n {
+		c := cells[rng.Intn(len(cells))]
+		tid, ai := c[0], c[1]
+		cats := append([]string(nil), d.Dirty.Tuple(tid)...)
+		v, label := d.Truth.GetAt(tid, ai), Confirm
+		switch rng.Intn(3) {
+		case 1: // another tuple's value: a wrong suggestion
+			v, label = d.Truth.GetAt(rng.Intn(d.Truth.N()), ai), Reject
+		case 2: // a clean tuple: the current value is right
+			tid = rng.Intn(d.Truth.N())
+			cats = append(cats[:0], d.Truth.Tuple(tid)...)
+			v, label = d.Truth.GetAt(rng.Intn(d.Truth.N()), ai), Retain
+		}
+		exs = append(exs, Example{Cats: append(cats, v), Sim: rng.Float64(), Label: label})
+	}
+	return exs
+}
+
+// BenchmarkModelRetrain measures the learner the way UserFeedback drives
+// it: each op adds one example to a model holding 200–400 hospital-shaped
+// examples and predicts, which retrains the committee.
+func BenchmarkModelRetrain(b *testing.B) {
+	const base = 200
+	exs := hospitalExamples(2 * base)
+	var m *Model
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%base == 0 {
+			b.StopTimer()
+			m = NewModel(Config{Seed: 1}, 3)
+			for _, ex := range exs[:base] {
+				m.Add(ex)
+			}
+			b.StartTimer()
+		}
+		ex := exs[base+i%base]
+		m.Add(ex)
+		if _, _, ok := m.Predict(ex.Cats, ex.Sim); !ok {
+			b.Fatal("model not ready")
+		}
 	}
 }

@@ -62,6 +62,9 @@ func RestoreModel(st ModelState) (*Model, error) {
 	}
 	m := NewModel(st.Cfg, st.MinTrain)
 	m.examples = append([]Example(nil), st.Examples...)
+	for _, ex := range m.examples {
+		m.enc.add(ex)
+	}
 	m.retrains = st.Retrains
 	if st.Trained {
 		m.train()

@@ -14,10 +14,16 @@
 //   - calls to fmt.Print*/Fprint* or to Write/WriteString/WriteByte/
 //     WriteRune/WriteRow/Encode methods on a value from outside the loop.
 //
-// Aggregations that are order-free — counting, summing, building another
-// map, per-key work on values — are not sinks. A `sort` or `slices.Sort*`
-// call after the loop in the same function counts as restoring order and
-// silences the finding (the collect-then-sort idiom).
+// Aggregations that are order-free — counting, integer sums, building
+// another map, per-key work on values — are not sinks. A `sort` or
+// `slices.Sort*` call after the loop in the same function counts as
+// restoring order and silences the finding (the collect-then-sort idiom).
+//
+// Floating-point accumulation is the exception: `+=` or `-=` onto a float
+// declared outside the loop depends on iteration order in its last bits
+// (float addition is not associative), and no later sort can undo that, so
+// it is reported regardless. A keyed target (`m[k] += x`) gets one
+// addition per key and stays clean.
 package maprange
 
 import (
@@ -55,6 +61,11 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		}
 		if _, ok := t.Underlying().(*types.Map); !ok {
+			return true
+		}
+		if floatSum(pass, rs) {
+			pass.Reportf(rs.For,
+				"map iteration order reaches a float accumulated across iterations; float addition is not associative, so iterate in sorted key order (byte-identical-output invariant)")
 			return true
 		}
 		sink := findSink(pass, rs)
@@ -111,6 +122,27 @@ func findSink(pass *analysis.Pass, rs *ast.RangeStmt) string {
 	return sink
 }
 
+// floatSum reports whether the loop body adds to or subtracts from a float
+// variable declared outside the loop (a keyed m[k] target is per-key).
+func floatSum(pass *analysis.Pass, rs *ast.RangeStmt) bool {
+	found := false
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		st, ok := n.(*ast.AssignStmt)
+		if !ok || (st.Tok != token.ADD_ASSIGN && st.Tok != token.SUB_ASSIGN) || len(st.Lhs) != 1 {
+			return true
+		}
+		if _, keyed := st.Lhs[0].(*ast.IndexExpr); keyed {
+			return true
+		}
+		found = isFloatType(pass, st.Lhs[0]) && declaredOutside(pass, st.Lhs[0], rs)
+		return !found
+	})
+	return found
+}
+
 // callSink reports whether a call inside the loop emits to an ordered
 // output living outside the loop.
 func callSink(pass *analysis.Pass, call *ast.CallExpr, rs *ast.RangeStmt) string {
@@ -157,6 +189,15 @@ func isStringType(pass *analysis.Pass, e ast.Expr) bool {
 	}
 	basic, ok := t.Underlying().(*types.Basic)
 	return ok && basic.Info()&types.IsString != 0
+}
+
+func isFloatType(pass *analysis.Pass, e ast.Expr) bool {
+	t := pass.TypesInfo.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	basic, ok := t.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsFloat != 0
 }
 
 // declaredOutside reports whether the root identifier of e names an object

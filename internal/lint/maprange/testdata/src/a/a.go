@@ -1,5 +1,6 @@
 // Package a exercises the maprange analyzer: map iterations whose order
-// escapes must flag; order-free aggregations and collect-then-sort must not.
+// escapes must flag; order-free aggregations and collect-then-sort must not,
+// except that a float sum over map order flags even when sorted later.
 package a
 
 import (
@@ -106,4 +107,46 @@ func GoodFreshBuffer(m map[string][]string) map[string]string {
 		out[k] = b.String()
 	}
 	return out
+}
+
+// BadFloatSum accumulates a float in map order: the last bits depend on it.
+func BadFloatSum(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m { // want `map iteration order reaches a float accumulated across iterations`
+		sum += v
+	}
+	return sum
+}
+
+// BadFloatSumSortedLater sorts after the loop, which cannot fix the sum.
+func BadFloatSumSortedLater(m map[string]float64) ([]string, float64) {
+	keys := make([]string, 0, len(m))
+	h := 1.0
+	for k, v := range m { // want `map iteration order reaches a float accumulated across iterations`
+		keys = append(keys, k)
+		h -= v
+	}
+	sort.Strings(keys)
+	return keys, h
+}
+
+// GoodKeyedFloat adds once per key: order cannot show.
+func GoodKeyedFloat(m map[string]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, v := range m {
+		out[k] += v / 2
+	}
+	return out
+}
+
+// GoodIntSumSortedLater sums integers, which is exact in any order.
+func GoodIntSumSortedLater(m map[string]int) ([]string, int) {
+	keys := make([]string, 0, len(m))
+	total := 0
+	for k, v := range m {
+		keys = append(keys, k)
+		total += v
+	}
+	sort.Strings(keys)
+	return keys, total
 }

@@ -48,13 +48,23 @@ const (
 )
 
 // Span bounds: enough for a feedback round with a checkpoint (admit, queue,
-// slot, exec, a handful of engine phases, persist and its four children);
+// slot, exec, a handful of engine phases, persist and its children);
 // pathological cascades overflow into the dropped counter instead of
-// growing without bound.
+// growing without bound. The last reservedSpans slots only take root
+// stages and persist's children (see keepsReserve), so however many engine
+// phases a round records, its exec and persist spans still land.
 const (
-	spanPrealloc = 16
-	maxSpans     = 64
+	spanPrealloc  = 16
+	maxSpans      = 64
+	reservedSpans = 16
 )
+
+// keepsReserve reports whether a span may use the reserved slots: a root
+// stage (admit, queue, slot, exec, persist) or a child of persist (write,
+// fsync, rename, and the encode's queue/slot/exec).
+func keepsReserve(parent string) bool {
+	return parent == "" || parent == "persist"
+}
 
 // Tracer mints per-request Traces and retains completed ones: the last
 // Capacity in a ring plus the Slowest worst offenders.
@@ -286,15 +296,20 @@ func (t *Trace) Session() string {
 	return t.session
 }
 
-// RecordSpan appends one completed span. Spans beyond maxSpans are counted
-// as dropped instead of growing the trace without bound.
+// RecordSpan appends one completed span. Spans beyond maxSpans — or, for
+// spans not entitled to the reserved slots, beyond maxSpans-reservedSpans —
+// are counted as dropped instead of growing the trace without bound.
 func (t *Trace) RecordSpan(stage, parent string, start time.Time, dur time.Duration) {
 	if t == nil {
 		return
 	}
+	limit := maxSpans - reservedSpans
+	if keepsReserve(parent) {
+		limit = maxSpans
+	}
 	off := start.Sub(t.start)
 	t.mu.Lock()
-	if len(t.spans) >= maxSpans {
+	if len(t.spans) >= limit {
 		t.dropped++
 	} else {
 		t.spans = append(t.spans, Span{Stage: stage, Parent: parent, Start: off, Dur: dur})

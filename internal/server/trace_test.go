@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gdr/internal/obs"
 )
@@ -124,6 +125,38 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	for _, stage := range []string{"write", "fsync", "rename"} {
 		if !persistChildren[stage] {
 			t.Errorf("persist span missing child %q (have %v)", stage, roots["persist"].Children)
+		}
+	}
+}
+
+// TestSpanCapKeepsRootStages floods a feedback trace with engine-phase
+// spans past the per-trace cap, then records the exec and persist root
+// stages and persist's write: the phases overflow into the dropped count,
+// but the root stages still reach the Server-Timing header and the
+// gdrd_stage_seconds histograms.
+func TestSpanCapKeepsRootStages(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Trace: obs.Config{Seed: 1}})
+	tr := srv.tracer.Start("", "feedback")
+	now := time.Now()
+	for i := 0; i < 200; i++ {
+		tr.RecordSpan("suggest", "exec", now, time.Microsecond)
+	}
+	tr.RecordSpan("exec", "", now, 2*time.Millisecond)
+	tr.RecordSpan("write", "persist", now, time.Millisecond)
+	tr.RecordSpan("persist", "", now, 3*time.Millisecond)
+	if tr.Dropped() == 0 {
+		t.Fatal("200 phase spans should overflow the per-trace cap")
+	}
+	st := tr.ServerTiming()
+	for _, stage := range []string{"exec", "persist"} {
+		if !strings.Contains(st, stage+";dur=") {
+			t.Errorf("Server-Timing %q lost root stage %q to the span cap", st, stage)
+		}
+	}
+	tr.Finish(200)
+	for _, stage := range []string{"exec", "persist", "write"} {
+		if n := srv.Registry().LabeledHistogram("gdrd_stage_seconds", "stage", stage, "route", "feedback").Count(); n != 1 {
+			t.Errorf("gdrd_stage_seconds{stage=%q} count = %d, want 1", stage, n)
 		}
 	}
 }
