@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gdr/internal/cfd"
@@ -79,19 +80,24 @@ type AttrHitWindow struct {
 	Window []bool
 }
 
-// ExportState snapshots the session. The returned state shares no mutable
-// storage with the session (rows, windows and bookkeeping are copied), so
-// it remains stable while the session keeps repairing. It must be called
-// from the goroutine that owns the session, like every other method.
-func (s *Session) ExportState() *SessionState {
+// StateView returns the session's state without copying it: rows,
+// weights, dictionaries, attributes, rules, learner examples and hit
+// windows alias the live session, and only the derived lists (pending
+// updates, cell bookkeeping, rule weights) are freshly built. The view is
+// valid only until the session's next mutation — feedback, an insert, a
+// learner sweep, a random-order Groups call — and must not be modified. It
+// exists so an encoder running on the session's own goroutine can
+// serialize the live state directly; anything that outlives that moment
+// must use ExportState.
+func (s *Session) StateView() *SessionState {
 	st := &SessionState{
 		Config:       s.cfg,
 		Relation:     s.db.Schema.Relation,
-		Attrs:        append([]string(nil), s.db.Schema.Attrs...),
+		Attrs:        s.db.Schema.Attrs,
 		Dicts:        make([][]string, s.db.Schema.Arity()),
-		Rows:         make([][]relation.VID, s.db.N()),
-		Weights:      make([]float64, s.db.N()),
-		Rules:        append([]*cfd.CFD(nil), s.eng.Rules()...),
+		Rows:         s.db.Rows(),
+		Weights:      s.db.Weights(),
+		Rules:        s.eng.Rules(),
 		RuleWeights:  make([]float64, len(s.eng.Rules())),
 		Possible:     s.PendingUpdates(),
 		InitialDirty: s.initialDirty,
@@ -99,32 +105,52 @@ func (s *Session) ExportState() *SessionState {
 		ForcedFixes:  s.ForcedFixes,
 		Shuffles:     s.shuffles,
 	}
-	for ai := 0; ai < s.db.Schema.Arity(); ai++ {
+	for ai := range st.Dicts {
 		st.Dicts[ai] = s.db.Dict(ai).Vals()
-	}
-	for tid := 0; tid < s.db.N(); tid++ {
-		st.Rows[tid] = append([]relation.VID(nil), s.db.Row(tid)...)
-		st.Weights[tid] = s.db.Weight(tid)
 	}
 	for ri := range st.RuleWeights {
 		st.RuleWeights[ri] = s.ranker.Weight(ri)
 	}
 	st.Locked, st.Prevented = s.gen.CellState()
-	attrs := make([]string, 0, len(s.models))
-	for attr := range s.models {
-		attrs = append(attrs, attr)
-	}
-	sort.Strings(attrs)
-	for _, attr := range attrs {
+	for _, attr := range sortedKeys(s.models) {
 		st.Models = append(st.Models, AttrModelState{Attr: attr, State: s.models[attr].State()})
 	}
-	attrs = attrs[:0]
-	for attr := range s.hits {
-		attrs = append(attrs, attr)
+	for _, attr := range sortedKeys(s.hits) {
+		st.Hits = append(st.Hits, AttrHitWindow{Attr: attr, Window: s.hits[attr]})
 	}
-	sort.Strings(attrs)
-	for _, attr := range attrs {
-		st.Hits = append(st.Hits, AttrHitWindow{Attr: attr, Window: append([]bool(nil), s.hits[attr]...)})
+	return st
+}
+
+// sortedKeys returns a per-attribute map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// ExportState snapshots the session. The returned state shares no mutable
+// storage with the session (it is StateView with rows, weights,
+// dictionaries, attributes, rules and windows copied), so it remains stable
+// while the session keeps repairing. It must be called from the goroutine
+// that owns the session, like every other method.
+func (s *Session) ExportState() *SessionState {
+	st := s.StateView()
+	st.Attrs = slices.Clone(st.Attrs)
+	for ai, vals := range st.Dicts {
+		st.Dicts[ai] = slices.Clone(vals)
+	}
+	rows := make([][]relation.VID, len(st.Rows))
+	for tid, row := range st.Rows {
+		rows[tid] = slices.Clone(row)
+	}
+	st.Rows = rows
+	st.Weights = slices.Clone(st.Weights)
+	st.Rules = slices.Clone(st.Rules)
+	for i := range st.Hits {
+		st.Hits[i].Window = slices.Clone(st.Hits[i].Window)
 	}
 	return st
 }

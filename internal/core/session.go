@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"gdr/internal/cfd"
 	"gdr/internal/group"
@@ -259,15 +258,24 @@ func (s *Session) Pending(c repair.CellKey) (repair.Update, bool) {
 	return s.index.Get(c)
 }
 
-// PendingUpdates returns all live suggestions in deterministic order.
+// PendingUpdates returns all live suggestions ordered by (tid, attr). The
+// index lists them in group-key order, which is attribute-major, and a
+// cell holds at most one suggestion, so a stable counting sort by tuple id
+// yields (tid, attr) order with no string compares.
 func (s *Session) PendingUpdates() []repair.Update {
-	out := s.index.AppendAll(make([]repair.Update, 0, s.index.Len()))
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tid != out[j].Tid {
-			return out[i].Tid < out[j].Tid
-		}
-		return out[i].Attr < out[j].Attr
-	})
+	ups := s.index.AppendAll(make([]repair.Update, 0, s.index.Len()))
+	next := make([]int, s.db.N()+1)
+	for _, u := range ups {
+		next[u.Tid+1]++
+	}
+	for tid := 1; tid < len(next); tid++ {
+		next[tid] += next[tid-1]
+	}
+	out := make([]repair.Update, len(ups))
+	for _, u := range ups {
+		out[next[u.Tid]] = u
+		next[u.Tid]++
+	}
 	return out
 }
 

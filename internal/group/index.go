@@ -189,8 +189,10 @@ func (ix *Index) Updates(k Key) []repair.Update {
 	return append([]repair.Update(nil), ig.ups...)
 }
 
-// AppendAll appends every live update to dst, grouped by key order (callers
-// needing the global (tid, attr) order sort afterwards).
+// AppendAll appends every live update to dst, grouped in key order
+// (attribute, then value) and by ascending tid within a group. Callers
+// needing the global (tid, attr) order sort afterwards; a stable sort by
+// tid alone suffices.
 func (ix *Index) AppendAll(dst []repair.Update) []repair.Update {
 	for _, ig := range ix.keys {
 		dst = append(dst, ig.ups...)

@@ -3,10 +3,12 @@ package relation
 import "fmt"
 
 // Vals returns the dictionary's values in id order (index i is the string
-// VID(i) stands for). The returned slice is a fresh copy owned by the
-// caller, so a snapshot taken here stays stable while interning continues.
+// VID(i) stands for). The slice aliases the live dictionary and must not be
+// modified. Interning only appends, and the slice's capacity is capped at
+// its length, so it keeps describing ids 0..len-1 while interning
+// continues; it just does not show values interned after the call.
 func (d *Dict) Vals() []string {
-	return append([]string(nil), d.vals...)
+	return d.vals[:len(d.vals):len(d.vals)]
 }
 
 // RestoreDict rebuilds a dictionary from a value list previously obtained
@@ -24,6 +26,15 @@ func RestoreDict(vals []string) (*Dict, error) {
 	}
 	return d, nil
 }
+
+// Rows returns every tuple's dictionary-encoded row, indexed by tuple id.
+// Like Row, it is the live storage: a cell update rewrites it in place, so
+// the caller must not modify it and must not hold it across mutations.
+func (db *DB) Rows() [][]VID { return db.rows[:len(db.rows):len(db.rows)] }
+
+// Weights returns every tuple's weight, indexed by tuple id. It is live
+// storage, under the same rules as Rows.
+func (db *DB) Weights() []float64 { return db.weights[:len(db.weights):len(db.weights)] }
 
 // RestoreDB rebuilds an instance from snapshotted parts: per-attribute
 // dictionaries (id-for-id, so every stored VID keeps its meaning), the

@@ -1,8 +1,10 @@
 package repair
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"gdr/internal/relation"
 )
@@ -25,19 +27,25 @@ type PreventedCell struct {
 
 // CellState snapshots the generator's per-cell feedback bookkeeping — the
 // locked set and the prevented lists — in deterministic (tid, attribute
-// position) order, values ascending. Everything else the generator holds
-// (similarity memo, co-occurrence indexes) is a cache over the instance and
-// is rebuilt lazily after a restore.
+// position) order, values ascending. The locked cells come out of the
+// bitset already in that order; the prevented lists are sorted. Everything
+// else the generator holds (similarity memo, co-occurrence indexes) is a
+// cache over the instance and is rebuilt lazily after a restore.
 func (g *Generator) CellState() (locked []LockedCell, prevented []PreventedCell) {
-	for c := range g.locked {
-		locked = append(locked, LockedCell{Tid: c.tid, Pos: c.ai})
+	n := 0
+	for _, w := range g.locked {
+		n += bits.OnesCount64(w)
 	}
-	sort.Slice(locked, func(i, j int) bool {
-		if locked[i].Tid != locked[j].Tid {
-			return locked[i].Tid < locked[j].Tid
+	if n > 0 {
+		locked = make([]LockedCell, 0, n)
+	}
+	arity := g.db.Schema.Arity()
+	for wi, w := range g.locked {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			locked = append(locked, LockedCell{Tid: i / arity, Pos: i % arity})
 		}
-		return locked[i].Pos < locked[j].Pos
-	})
+	}
 	for c, vals := range g.prevented {
 		if len(vals) == 0 {
 			continue
@@ -46,14 +54,11 @@ func (g *Generator) CellState() (locked []LockedCell, prevented []PreventedCell)
 		for v := range vals {
 			pc.Values = append(pc.Values, v)
 		}
-		sort.Slice(pc.Values, func(i, j int) bool { return pc.Values[i] < pc.Values[j] })
+		slices.Sort(pc.Values)
 		prevented = append(prevented, pc)
 	}
-	sort.Slice(prevented, func(i, j int) bool {
-		if prevented[i].Tid != prevented[j].Tid {
-			return prevented[i].Tid < prevented[j].Tid
-		}
-		return prevented[i].Pos < prevented[j].Pos
+	slices.SortFunc(prevented, func(a, b PreventedCell) int {
+		return cmp.Or(cmp.Compare(a.Tid, b.Tid), cmp.Compare(a.Pos, b.Pos))
 	})
 	return locked, prevented
 }
@@ -75,7 +80,7 @@ func (g *Generator) RestoreCellState(locked []LockedCell, prevented []PreventedC
 		if err := checkCell(c.Tid, c.Pos); err != nil {
 			return err
 		}
-		g.locked[cellPos{c.Tid, c.Pos}] = true
+		g.lock(c.Tid, c.Pos)
 	}
 	for _, c := range prevented {
 		if err := checkCell(c.Tid, c.Pos); err != nil {

@@ -100,7 +100,12 @@ type Generator struct {
 	workers int
 
 	prevented map[cellPos]map[relation.VID]bool
-	locked    map[cellPos]bool
+	// locked is the set of confirmed-correct cells as a bitset over the
+	// cell index tid·arity + pos. Cells are only ever locked, never
+	// unlocked, so the set only grows (it is extended when a cell of a
+	// newly inserted tuple is locked), and reading it word by word yields
+	// the cells in (tid, pos) order with no sort.
+	locked []uint64
 
 	// simMemo caches similarity scores; candidate values recur constantly
 	// across Suggest calls (rule constants, frequent domain values). It is
@@ -149,7 +154,6 @@ func NewGenerator(eng *cfd.Engine, opts ...Option) *Generator {
 		sim:       strsim.Similarity,
 		workers:   1,
 		prevented: make(map[cellPos]map[relation.VID]bool),
-		locked:    make(map[cellPos]bool),
 		simMemo:   par.NewCache[simKey, float64](maxSimMemo),
 		indexes:   make(map[string]*cooccur),
 	}
@@ -225,12 +229,25 @@ func (g *Generator) IsPrevented(tid int, attr, value string) bool {
 // Lock marks the cell as confirmed correct (⟨t,B⟩.Changeable = false): no
 // further updates will be suggested for it.
 func (g *Generator) Lock(tid int, attr string) {
-	g.locked[cellPos{tid, g.db.Schema.MustIndex(attr)}] = true
+	g.lock(tid, g.db.Schema.MustIndex(attr))
 }
 
 // Locked reports whether the cell is locked.
 func (g *Generator) Locked(tid int, attr string) bool {
-	return g.locked[cellPos{tid, g.db.Schema.MustIndex(attr)}]
+	return g.isLocked(tid, g.db.Schema.MustIndex(attr))
+}
+
+func (g *Generator) lock(tid, ai int) {
+	i := tid*g.db.Schema.Arity() + ai
+	if w := i>>6 + 1; w > len(g.locked) {
+		g.locked = append(g.locked, make([]uint64, w-len(g.locked))...)
+	}
+	g.locked[i>>6] |= 1 << (i & 63)
+}
+
+func (g *Generator) isLocked(tid, ai int) bool {
+	i := tid*g.db.Schema.Arity() + ai
+	return i>>6 < len(g.locked) && g.locked[i>>6]&(1<<(i&63)) != 0
 }
 
 // candidate is an internal scored suggestion, value dictionary-encoded.
@@ -266,7 +283,7 @@ func (g *Generator) Suggest(tid int, attr string) (u Update, ok bool) {
 
 func (g *Generator) suggest(tid int, attr string, vio []int) (u Update, ok bool) {
 	ai := g.db.Schema.MustIndex(attr)
-	if g.locked[cellPos{tid, ai}] {
+	if g.isLocked(tid, ai) {
 		return Update{}, false
 	}
 	cur := g.db.VIDAt(tid, ai)

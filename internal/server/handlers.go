@@ -262,6 +262,13 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 	var notModified bool
 	err = e.actor.do(r.Context(), "groups", func(sess *core.Session) {
 		gs := sess.Groups(order, nil)
+		if order == core.OrderRandom {
+			// A nil-rng random order consumes one of the session's fallback
+			// shuffles, and the shuffle counter is snapshotted state: bump
+			// the sequence so the step is checkpointed and replicated, and
+			// a restore does not rewind the shuffle stream.
+			e.mutSeq.Add(1)
+		}
 		etag = groupsETag(e.etagSalt, orderName, limit, sess.RankingVersion())
 		if etagMatches(inm, etag) {
 			notModified = true

@@ -108,12 +108,18 @@ func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 // which mutation sequence the captured state corresponds to. The watermark
 // and the dedup window ride inside the snapshot (format v2 meta): both are
 // read on the actor, so the encoded triple is always mutually consistent.
+// Running on the actor also lets the encoder read the session's state view
+// in place — nothing can mutate the session until the closure returns —
+// and the buffer starts at the previous snapshot's size, which in steady
+// state is exact, so a checkpoint neither copies the instance nor regrows
+// its output.
 func (s *Store) encode(ctx context.Context, e *entry) (data []byte, mut uint64, err error) {
 	var encErr error
 	doErr := e.actor.do(ctx, "encode", func(sess *core.Session) {
 		mut = e.mutSeq.Load()
 		meta := snapshot.Meta{MutSeq: mut, Dedup: e.dedup.export()}
-		data, encErr = snapshot.EncodeStateMeta(e.name, meta, sess.ExportState())
+		data, encErr = snapshot.AppendStateMeta(make([]byte, 0, e.snapLen), e.name, meta, sess.StateView())
+		e.snapLen = len(data)
 	})
 	if doErr != nil {
 		return nil, 0, doErr
@@ -267,6 +273,7 @@ func (s *Store) restoreFile(token, tenant, path string) (*entry, error) {
 	// read as stale. The entry is unpublished, so no lock is needed.
 	e.mutSeq.Store(meta.MutSeq)
 	e.dedup.restore(meta.Dedup)
+	e.snapLen = len(data)
 	//lint:ignore guardedby pre-publication write: no other goroutine can hold a reference to e yet
 	e.hasDurable = true
 	//lint:ignore guardedby pre-publication write: no other goroutine can hold a reference to e yet

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -300,5 +301,47 @@ func TestCloseFlushesDirtySessions(t *testing.T) {
 	defer srv2.Close()
 	if got := srv2.Store().Len(); got != 1 {
 		t.Fatalf("flushed snapshot did not restore: %d sessions", got)
+	}
+}
+
+// TestRandomGroupsOrderIsDurable: a random-order /groups read consumes one
+// of the session's fallback shuffles, and the shuffle counter is part of
+// the snapshot. The read must therefore dirty the entry, and once flushed,
+// a session restored from disk must continue the shuffle stream exactly
+// where the live session does instead of rewinding it.
+func TestRandomGroupsOrderIsDurable(t *testing.T) {
+	csvText, rulesText, _ := hospitalUpload(t, 200, 5)
+	dir := t.TempDir()
+	srvA, tsA := newDurableServer(t, dir, core.Config{Workers: 1})
+	defer func() { tsA.Close(); srvA.Close() }()
+	id := createHTTPSession(t, tsA, csvText, rulesText, 5)
+	e, ok := srvA.Store().Get(id)
+	if !ok {
+		t.Fatal("session vanished")
+	}
+	if e.isDirty() {
+		t.Fatal("freshly created session is dirty")
+	}
+
+	const path = "/v1/sessions/"
+	if code, _ := rawGET(t, tsA, path+id+"/groups?order=random"); code != http.StatusOK {
+		t.Fatalf("random groups: status %d", code)
+	}
+	if !e.isDirty() {
+		t.Fatal("a random-order read consumed a shuffle but left the entry clean")
+	}
+	if err := srvA.Store().Checkpoint(context.Background(), e); err != nil {
+		t.Fatal(err)
+	}
+	if e.isDirty() {
+		t.Fatal("entry still dirty after a checkpoint")
+	}
+	restored := copyDir(t, dir)
+
+	_, liveNext := rawGET(t, tsA, path+id+"/groups?order=random")
+	srvB, tsB := newDurableServer(t, restored, core.Config{Workers: 1})
+	defer func() { tsB.Close(); srvB.Close() }()
+	if code, restoredNext := rawGET(t, tsB, path+id+"/groups?order=random"); code != http.StatusOK || restoredNext != liveNext {
+		t.Fatalf("restored session's next random order diverges from the live one (status %d)", code)
 	}
 }

@@ -92,6 +92,10 @@ type entry struct {
 	// is what keeps a snapshot's state and dedup window mutually consistent.
 	dedup *dedupWindow
 
+	// snapLen is the length of the session's last encoded snapshot, the
+	// initial capacity of the next one. Actor-confined, like dedup.
+	snapLen int
+
 	ckptMu     sync.Mutex
 	durableMut uint64 // gdr:guarded-by ckptMu
 	hasDurable bool   // gdr:guarded-by ckptMu

@@ -82,9 +82,10 @@ var ErrFormat = errors.New("snapshot: invalid snapshot")
 
 // Encode snapshots a live session under a display name. It must be called
 // from the goroutine that owns the session (for a served session, its
-// actor).
+// actor): it serializes the session's state view in place, without first
+// copying the instance.
 func Encode(name string, sess *core.Session) ([]byte, error) {
-	return EncodeState(name, sess.ExportState())
+	return EncodeState(name, sess.StateView())
 }
 
 // Write is Encode directly to a writer.
@@ -128,10 +129,19 @@ func EncodeState(name string, st *core.SessionState) ([]byte, error) {
 // EncodeStateMeta serializes an already-exported state plus its session
 // meta (mutation watermark and dedup window).
 func EncodeStateMeta(name string, meta Meta, st *core.SessionState) ([]byte, error) {
+	return AppendStateMeta(nil, name, meta, st)
+}
+
+// AppendStateMeta is EncodeStateMeta appending to dst, so a caller that
+// knows roughly how large the snapshot will be (for example the size of
+// the session's previous one) can size the buffer once. st may be a
+// session's StateView: the encoder only reads it.
+func AppendStateMeta(dst []byte, name string, meta Meta, st *core.SessionState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("snapshot: nil session state")
 	}
-	e := &encoder{}
+	e := &encoder{b: dst}
+	start := len(dst)
 	e.b = append(e.b, magic[:]...)
 	e.b = binary.LittleEndian.AppendUint16(e.b, FormatVersion)
 	e.uv(meta.MutSeq)
@@ -201,7 +211,7 @@ func EncodeStateMeta(name string, meta Meta, st *core.SessionState) ([]byte, err
 		e.str(hw.Attr)
 		e.bools(hw.Window)
 	}
-	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b))
+	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[start:]))
 	return e.b, nil
 }
 
@@ -322,8 +332,15 @@ func DecodeStateMeta(data []byte) (name string, meta Meta, st *core.SessionState
 // encoder builds the body with deterministic, append-only primitives.
 type encoder struct{ b []byte }
 
-func (e *encoder) uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encoder) v(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+// uv writes a uvarint; values below 0x80 — most row VIDs — are one byte.
+func (e *encoder) uv(v uint64) {
+	if v < 0x80 {
+		e.b = append(e.b, byte(v))
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, v)
+}
+func (e *encoder) v(v int64) { e.b = binary.AppendVarint(e.b, v) }
 func (e *encoder) f64(f float64) {
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f))
 }
