@@ -270,6 +270,47 @@ func BenchmarkFeedbackRound(b *testing.B) {
 	}
 }
 
+// BenchmarkNoLearnRound measures the engine half of a no-learn serving
+// round at paper scale (20000 hospital rows): rank the groups by VOI, then
+// answer the whole top group through ApplyFeedback, the learner left out.
+// That re-rank is dominated by Eq. 6 what-if scoring.
+func BenchmarkNoLearnRound(b *testing.B) {
+	d := gdr.HospitalData(gdr.DataConfig{N: 20000, Seed: 7})
+	newSess := func() *gdr.Session {
+		sess, err := gdr.NewSession(d.Dirty.Clone(), d.Rules, gdr.SessionConfig{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sess
+	}
+	sess := newSess()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gs := sess.Groups(gdr.OrderVOI, nil)
+		if len(gs) == 0 {
+			b.StopTimer()
+			sess = newSess()
+			b.StartTimer()
+			gs = sess.Groups(gdr.OrderVOI, nil)
+		}
+		for _, u := range gs[0].Updates {
+			cur, ok := sess.Pending(u.Cell())
+			if !ok || cur != u {
+				continue
+			}
+			switch tv := d.Truth.Get(u.Tid, u.Attr); {
+			case u.Value == tv:
+				sess.ApplyFeedback(u, gdr.Confirm)
+			case sess.DB().Get(u.Tid, u.Attr) == tv:
+				sess.ApplyFeedback(u, gdr.Retain)
+			default:
+				sess.ApplyFeedback(u, gdr.Reject)
+			}
+		}
+	}
+}
+
 // BenchmarkDiscovery measures constant-CFD mining at 5% support.
 func BenchmarkDiscovery(b *testing.B) {
 	d := benchData(b, 2)

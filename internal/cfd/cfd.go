@@ -33,36 +33,44 @@ type CFD struct {
 	TP map[string]string
 }
 
-// New builds a normal-form CFD and validates its shape (every LHS attribute
-// and the RHS must have a pattern entry; RHS must not appear in LHS).
+// New builds a normal-form CFD and validates its shape (see checkShape).
 func New(id string, lhs []string, rhs string, tp map[string]string) (*CFD, error) {
 	c := &CFD{ID: id, LHS: append([]string(nil), lhs...), RHS: rhs, TP: make(map[string]string, len(tp))}
 	for k, v := range tp {
 		c.TP[k] = v
 	}
-	if len(c.LHS) == 0 {
-		return nil, fmt.Errorf("cfd %s: empty LHS", id)
+	if err := c.checkShape(); err != nil {
+		return nil, err
 	}
-	seen := make(map[string]bool, len(lhs))
+	return c, nil
+}
+
+// checkShape enforces normal form: a non-empty LHS without duplicates, an
+// RHS outside the LHS, and a pattern entry for exactly LHS ∪ {RHS}.
+func (c *CFD) checkShape() error {
+	if len(c.LHS) == 0 {
+		return fmt.Errorf("cfd %s: empty LHS", c.ID)
+	}
+	seen := make(map[string]bool, len(c.LHS))
 	for _, a := range c.LHS {
 		if seen[a] {
-			return nil, fmt.Errorf("cfd %s: duplicate LHS attribute %q", id, a)
+			return fmt.Errorf("cfd %s: duplicate LHS attribute %q", c.ID, a)
 		}
 		seen[a] = true
 		if _, ok := c.TP[a]; !ok {
-			return nil, fmt.Errorf("cfd %s: missing pattern for LHS attribute %q", id, a)
+			return fmt.Errorf("cfd %s: missing pattern for LHS attribute %q", c.ID, a)
 		}
 	}
-	if seen[rhs] {
-		return nil, fmt.Errorf("cfd %s: RHS %q also appears in LHS", id, rhs)
+	if seen[c.RHS] {
+		return fmt.Errorf("cfd %s: RHS %q also appears in LHS", c.ID, c.RHS)
 	}
-	if _, ok := c.TP[rhs]; !ok {
-		return nil, fmt.Errorf("cfd %s: missing pattern for RHS attribute %q", id, rhs)
+	if _, ok := c.TP[c.RHS]; !ok {
+		return fmt.Errorf("cfd %s: missing pattern for RHS attribute %q", c.ID, c.RHS)
 	}
-	if len(c.TP) != len(lhs)+1 {
-		return nil, fmt.Errorf("cfd %s: pattern mentions attributes outside LHS ∪ RHS", id)
+	if len(c.TP) != len(c.LHS)+1 {
+		return fmt.Errorf("cfd %s: pattern mentions attributes outside LHS ∪ RHS", c.ID)
 	}
-	return c, nil
+	return nil
 }
 
 // MustNew is New for statically known-good rules; it panics on error.
@@ -125,8 +133,13 @@ func (c *CFD) String() string {
 		c.ID, strings.Join(c.LHS, ", "), c.RHS, strings.Join(lhsPat, ", "), c.TP[c.RHS])
 }
 
-// Validate checks that every attribute the rule mentions exists in the schema.
+// Validate checks the rule's normal-form shape, as New does, and that every
+// attribute it mentions exists in the schema. NewEngine calls it, so it is
+// the only check a rule built as a struct literal passes.
 func (c *CFD) Validate(s *relation.Schema) error {
+	if err := c.checkShape(); err != nil {
+		return err
+	}
 	for _, a := range c.Attrs() {
 		if _, ok := s.Index(a); !ok {
 			return fmt.Errorf("cfd %s: attribute %q not in schema %q", c.ID, a, s.Relation)

@@ -29,12 +29,18 @@ const (
 //   - |D ⊨ φ|, the number of tuples satisfying φ,
 //   - |D(φ)|, the number of tuples in the rule's context (matching tp[X]),
 //   - the DirtyTuples set {t : ∃φ, t ⊭ φ}, and
-//   - per-rule version counters so downstream components (the VOI ranker)
-//     can cache per-update benefit computations.
+//   - per-rule version counters so downstream components (the session's
+//     group index) can tell which pending updates need re-scoring.
 //
 // All state is dictionary-encoded: pattern constants are resolved to VIDs at
 // construction, tuples are matched by comparing uint32s, and variable-rule
 // buckets are keyed by the fixed-width byte encoding of the tuple's LHS ids.
+//
+// Rules are dispatched by their anchor: the first constant position of the
+// LHS pattern and its value. A tuple can only be in a rule's context if it
+// carries the anchor value, so per-tuple work (index maintenance, the dirty
+// check, what-if scoring) visits the rules filed under the tuple's own
+// values plus the all-wildcard rules, never the whole of Σ.
 //
 // All database mutations during a repair session must go through
 // Engine.Apply so the indexes stay consistent.
@@ -45,7 +51,20 @@ type Engine struct {
 	byAttr [][]int // attribute position -> indexes into states
 	byID   map[string]int
 	dirty  map[int]struct{}
+
+	// anchors[p][vid] lists, ascending, the rules whose first constant LHS
+	// position is p with pattern value vid. The table is dense per anchor
+	// position (nil elsewhere); anchorPos lists the positions that have one.
+	// free lists the rules whose LHS is all wildcards: every tuple is in
+	// their context.
+	anchors   [][][]int
+	anchorPos []int
+	free      []int
 }
+
+// candBufSize sizes the stack scratch for candidate rule lists; a tuple in
+// the context of more rules than this spills to the heap.
+const candBufSize = 32
 
 type ruleState struct {
 	rule    *CFD
@@ -59,13 +78,14 @@ type ruleState struct {
 	// ctx is |D(φ)|: the number of tuples matching tp[X].
 	ctx int
 
-	// Constant-rule state.
-	constViol map[int]struct{}
+	// violTuples is the number of tuples violating φ. For a constant rule
+	// that is also vio(D,{φ}); whether a given tuple violates it is derived
+	// from the row (in context and RHS ≠ pattern).
+	violTuples int
 
 	// Variable-rule state.
-	buckets    map[string]*bucket
-	vioTotal   int // Σ_t vio(t,{φ})
-	violTuples int // number of tuples violating φ
+	buckets  map[string]*bucket
+	vioTotal int // Σ_t vio(t,{φ})
 }
 
 // bucket groups, for a variable rule, the context tuples sharing one LHS
@@ -115,14 +135,78 @@ func NewEngine(db *relation.DB, rules []*CFD) (*Engine, error) {
 		e.byAttr[st.rhsIdx] = append(e.byAttr[st.rhsIdx], si)
 		if r.Constant() {
 			st.rhsPat = db.Intern(st.rhsIdx, r.TP[r.RHS])
-			st.constViol = make(map[int]struct{})
-		} else {
-			st.buckets = make(map[string]*bucket)
 		}
 		e.states = append(e.states, st)
 	}
+	e.fileAnchors()
 	e.Rebuild()
 	return e, nil
+}
+
+// fileAnchors files every rule under its anchor, or on the free list.
+func (e *Engine) fileAnchors() {
+	e.anchors = make([][][]int, e.db.Schema.Arity())
+	for si, st := range e.states {
+		i := slices.IndexFunc(st.lhsPat, func(p relation.VID) bool { return p != wildVID })
+		if i < 0 {
+			e.free = append(e.free, si)
+			continue
+		}
+		p, v := st.lhsIdx[i], st.lhsPat[i]
+		if n := int(v) + 1; n > len(e.anchors[p]) {
+			e.anchors[p] = append(e.anchors[p], make([][]int, n-len(e.anchors[p]))...)
+		}
+		e.anchors[p][v] = append(e.anchors[p][v], si)
+	}
+	for p, t := range e.anchors {
+		if t != nil {
+			e.anchorPos = append(e.anchorPos, p)
+		}
+	}
+}
+
+// anchored returns the rules filed under anchor (p, v).
+func (e *Engine) anchored(p int, v relation.VID) []int {
+	if t := e.anchors[p]; int(v) < len(t) {
+		return t[v]
+	}
+	return nil
+}
+
+// appendCandidates appends to dst, in ascending engine order, every rule
+// whose context can hold row, and returns it. With ai >= 0 it describes the
+// edit row[ai] := v instead: the rules whose context can hold the row before
+// or after it, restricted to those involving ai. A rule left out has the
+// tuple outside its context both before and after, so the edit leaves its
+// state exactly as it is.
+func (e *Engine) appendCandidates(dst []int, row []relation.VID, ai int, v relation.VID) []int {
+	start := len(dst)
+	dst = append(dst, e.free...)
+	for _, p := range e.anchorPos {
+		dst = append(dst, e.anchored(p, row[p])...)
+	}
+	if ai < 0 {
+		// The lists are disjoint and each ascending; only their
+		// interleaving needs sorting.
+		slices.Sort(dst[start:])
+		return dst
+	}
+	if v != row[ai] {
+		dst = append(dst, e.anchored(ai, v)...)
+	}
+	kept := dst[:start]
+	for _, si := range dst[start:] {
+		if e.states[si].involves(ai) {
+			kept = append(kept, si)
+		}
+	}
+	slices.Sort(kept[start:])
+	return kept
+}
+
+// involves reports whether the rule mentions attribute position ai.
+func (st *ruleState) involves(ai int) bool {
+	return st.rhsIdx == ai || slices.Contains(st.lhsIdx, ai)
 }
 
 // DB returns the instance the engine watches.
@@ -164,17 +248,16 @@ func (e *Engine) Rebuild() {
 	for _, st := range e.states {
 		st.version++
 		st.ctx = 0
-		if st.isConst {
-			st.constViol = make(map[int]struct{})
-		} else {
+		st.violTuples = 0
+		if !st.isConst {
 			st.buckets = make(map[string]*bucket)
 			st.vioTotal = 0
-			st.violTuples = 0
 		}
 	}
+	var cb [candBufSize]int
 	for tid := 0; tid < e.db.N(); tid++ {
-		for _, st := range e.states {
-			e.addTuple(st, tid)
+		for _, si := range e.appendCandidates(cb[:0], e.db.Row(tid), -1, 0) {
+			e.addTuple(e.states[si], tid)
 		}
 	}
 	for tid := 0; tid < e.db.N(); tid++ {
@@ -218,9 +301,7 @@ func (e *Engine) addTuple(st *ruleState, tid int) {
 	}
 	st.ctx++
 	if st.isConst {
-		if row[st.rhsIdx] != st.rhsPat {
-			st.constViol[tid] = struct{}{}
-		}
+		st.violTuples += b2i(row[st.rhsIdx] != st.rhsPat)
 		return
 	}
 	var kb [relation.KeyBufSize]byte
@@ -249,7 +330,7 @@ func (e *Engine) removeTuple(st *ruleState, tid int) {
 	}
 	st.ctx--
 	if st.isConst {
-		delete(st.constViol, tid)
+		st.violTuples -= b2i(row[st.rhsIdx] != st.rhsPat)
 		return
 	}
 	var kb [relation.KeyBufSize]byte
@@ -286,7 +367,9 @@ func (e *Engine) removeTuple(st *ruleState, tid int) {
 // Co-bucket members of a variable rule violate it iff their bucket holds two
 // or more distinct RHS values, so their status can only change when a bucket
 // crosses that uniform↔mixed boundary; Apply re-evaluates members only on
-// such transitions, keeping the common case O(rules involving attr).
+// such transitions. Index maintenance visits only the candidate rules of the
+// edit (see appendCandidates), keeping the common case O(rules the tuple is
+// in the context of).
 func (e *Engine) Apply(tid int, attr, value string) []int {
 	ai := e.db.Schema.MustIndex(attr)
 	return e.ApplyVID(tid, ai, e.db.Intern(ai, value))
@@ -312,30 +395,35 @@ func (e *Engine) ApplyVID(tid, ai int, v relation.VID) []int {
 			watches = append(watches, watch{st, key, false})
 		}
 	}
-	var kb [relation.KeyBufSize]byte
+	// Every rule involving ai changes version, not only the candidates whose
+	// counts can move: after t.B changes, the hypothetical t.A := v may bring
+	// t into the context of a rule over A and B whose counts did not move,
+	// and that rule's version is what marks A's pending updates for
+	// re-scoring.
 	for _, si := range e.byAttr[ai] {
-		st := e.states[si]
-		st.version++
-		if st.isConst {
-			continue
-		}
-		if row := e.db.Row(tid); st.matchLHS(row) {
+		e.states[si].version++
+	}
+	row := e.db.Row(tid) // live: reflects the SetVIDAt below
+	var cb [candBufSize]int
+	cands := e.appendCandidates(cb[:0], row, ai, v)
+	var kb [relation.KeyBufSize]byte
+	for _, si := range cands {
+		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
 			note(st, string(st.key(kb[:0], row)))
 		}
 	}
-	for _, si := range e.byAttr[ai] {
+	for _, si := range cands {
 		e.removeTuple(e.states[si], tid)
 	}
 	e.db.SetVIDAt(tid, ai, v)
 	// Record the target buckets' mixedness before re-inserting the tuple so
 	// a uniform→mixed transition caused by the insertion is visible below.
-	for _, si := range e.byAttr[ai] {
-		st := e.states[si]
-		if row := e.db.Row(tid); !st.isConst && st.matchLHS(row) {
+	for _, si := range cands {
+		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
 			note(st, string(st.key(kb[:0], row)))
 		}
 	}
-	for _, si := range e.byAttr[ai] {
+	for _, si := range cands {
 		e.addTuple(e.states[si], tid)
 	}
 	for _, w := range watches {
@@ -391,6 +479,11 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 	var kb [relation.KeyBufSize]byte
 	for _, st := range e.states {
 		st.version++
+	}
+	var cb [candBufSize]int
+	cands := e.appendCandidates(cb[:0], row, -1, 0)
+	for _, si := range cands {
+		st := e.states[si]
 		if st.isConst || !st.matchLHS(row) {
 			continue
 		}
@@ -401,8 +494,8 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 		}
 		watches = append(watches, watch{st, key, mixed})
 	}
-	for _, st := range e.states {
-		e.addTuple(st, tid)
+	for _, si := range cands {
+		e.addTuple(e.states[si], tid)
 	}
 	for _, w := range watches {
 		b := w.st.buckets[w.key]
@@ -431,7 +524,8 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 
 // violatesAny reports whether tuple tid violates at least one rule.
 func (e *Engine) violatesAny(tid int) bool {
-	for si := range e.states {
+	var cb [candBufSize]int
+	for _, si := range e.appendCandidates(cb[:0], e.db.Row(tid), -1, 0) {
 		if e.violates(e.states[si], tid) {
 			return true
 		}
@@ -440,13 +534,12 @@ func (e *Engine) violatesAny(tid int) bool {
 }
 
 func (e *Engine) violates(st *ruleState, tid int) bool {
-	if st.isConst {
-		_, ok := st.constViol[tid]
-		return ok
-	}
 	row := e.db.Row(tid)
 	if !st.matchLHS(row) {
 		return false
+	}
+	if st.isConst {
+		return row[st.rhsIdx] != st.rhsPat
 	}
 	b := st.bucketOf(row)
 	return b != nil && len(b.byVal) >= 2
@@ -459,7 +552,8 @@ func (e *Engine) Violates(ri, tid int) bool { return e.violates(e.states[ri], ti
 // the t.vioRuleList of Appendix A.
 func (e *Engine) VioRuleList(tid int) []int {
 	var out []int
-	for si := range e.states {
+	var cb [candBufSize]int
+	for _, si := range e.appendCandidates(cb[:0], e.db.Row(tid), -1, 0) {
 		if e.violates(e.states[si], tid) {
 			out = append(out, si)
 		}
@@ -472,10 +566,7 @@ func (e *Engine) VioRuleList(tid int) []int {
 func (e *Engine) TupleVio(ri, tid int) int {
 	st := e.states[ri]
 	if st.isConst {
-		if _, ok := st.constViol[tid]; ok {
-			return 1
-		}
-		return 0
+		return b2i(e.violates(st, tid))
 	}
 	row := e.db.Row(tid)
 	if !st.matchLHS(row) {
@@ -492,7 +583,7 @@ func (e *Engine) TupleVio(ri, tid int) int {
 func (e *Engine) Vio(ri int) int {
 	st := e.states[ri]
 	if st.isConst {
-		return len(st.constViol)
+		return st.violTuples
 	}
 	return st.vioTotal
 }
@@ -512,9 +603,6 @@ func (e *Engine) VioTotal() int {
 // tuples yields a denominator |D^r ⊨ φ| of 1, not N−3.
 func (e *Engine) Sat(ri int) int {
 	st := e.states[ri]
-	if st.isConst {
-		return st.ctx - len(st.constViol)
-	}
 	return st.ctx - st.violTuples
 }
 
@@ -522,8 +610,9 @@ func (e *Engine) Sat(ri int) int {
 // pattern; the paper uses it for the rule weights wi = |D(φi)|/|D|.
 func (e *Engine) Context(ri int) int { return e.states[ri].ctx }
 
-// Version returns a counter that changes whenever rule ri's state changes;
-// downstream caches key on it.
+// Version returns a counter that changes whenever an edit touches an
+// attribute rule ri involves (or a tuple is inserted); downstream staleness
+// checks key on it.
 func (e *Engine) Version(ri int) uint64 { return e.states[ri].version }
 
 // RulesInvolving returns the engine indexes of rules mentioning attr.
@@ -756,24 +845,50 @@ func (e *Engine) WhatIfVID(tid, ai int, v relation.VID) []RuleDelta {
 	old := e.db.VIDAt(tid, ai)
 	out := make([]RuleDelta, 0, len(e.byAttr[ai]))
 	for _, si := range e.byAttr[ai] {
-		st := e.states[si]
 		if old == v {
 			out = append(out, RuleDelta{Rule: si, Vio: e.Vio(si), Sat: e.Sat(si)})
 			continue
 		}
-		if st.isConst {
-			out = append(out, e.whatIfConstant(si, st, tid, ai, v))
-		} else {
-			out = append(out, e.whatIfVariable(si, st, tid, ai, v))
-		}
+		out = append(out, e.whatIf(si, tid, ai, v))
 	}
 	return out
 }
 
+// AppendWhatIfChanged appends to dst, in engine order, the WhatIfVID deltas
+// that differ from their rule's current Vio and Sat, and returns it. Only
+// the edit's candidate rules are evaluated: every other rule involving ai
+// has the tuple outside its context before and after, so its delta equals
+// its current state. It allocates nothing while dst has room, which makes it
+// the scoring path of Eq. 6: a term with an unchanged rule is w·0/sat = ±0,
+// and leaving it out of a sum that starts at +0 changes no bit.
+func (e *Engine) AppendWhatIfChanged(dst []RuleDelta, tid, ai int, v relation.VID) []RuleDelta {
+	row := e.db.Row(tid)
+	if row[ai] == v {
+		return dst
+	}
+	var cb [candBufSize]int
+	for _, si := range e.appendCandidates(cb[:0], row, ai, v) {
+		if d := e.whatIf(si, tid, ai, v); d.Vio != e.Vio(si) || d.Sat != e.Sat(si) {
+			dst = append(dst, d)
+		}
+	}
+	return dst
+}
+
+// whatIf is the hypothetical state of rule si after row[ai] := v, for
+// v != the current value.
+func (e *Engine) whatIf(si, tid, ai int, v relation.VID) RuleDelta {
+	st := e.states[si]
+	if st.isConst {
+		return e.whatIfConstant(si, st, tid, ai, v)
+	}
+	return e.whatIfVariable(si, st, tid, ai, v)
+}
+
 func (e *Engine) whatIfConstant(si int, st *ruleState, tid, ai int, v relation.VID) RuleDelta {
 	row := e.db.Row(tid)
-	_, violBefore := st.constViol[tid]
 	matchBefore := st.matchLHS(row)
+	violBefore := matchBefore && row[st.rhsIdx] != st.rhsPat
 	matchAfter := true
 	for i, li := range st.lhsIdx {
 		val := row[li]
@@ -790,7 +905,7 @@ func (e *Engine) whatIfConstant(si int, st *ruleState, tid, ai int, v relation.V
 		rhsAfter = v
 	}
 	violAfter := matchAfter && rhsAfter != st.rhsPat
-	vioAfterTotal := len(st.constViol) + b2i(violAfter) - b2i(violBefore)
+	vioAfterTotal := st.violTuples + b2i(violAfter) - b2i(violBefore)
 	ctxAfter := st.ctx + b2i(matchAfter) - b2i(matchBefore)
 	return RuleDelta{Rule: si, Vio: vioAfterTotal, Sat: ctxAfter - vioAfterTotal}
 }

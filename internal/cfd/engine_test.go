@@ -234,6 +234,27 @@ func TestNewEngineRejectsBadRules(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsMalformedLiterals feeds NewEngine rules built as
+// struct literals, bypassing New: each must be rejected with the check New
+// applies, not indexed (a rule listed twice under one attribute would count
+// its Eq. 6 term twice; a missing pattern entry would become the constant "").
+func TestNewEngineRejectsMalformedLiterals(t *testing.T) {
+	db, _ := figure1(t)
+	bad := []*CFD{
+		{ID: "empty-lhs", RHS: "CT", TP: map[string]string{"CT": Wildcard}},
+		{ID: "dup-lhs", LHS: []string{"ZIP", "ZIP"}, RHS: "CT", TP: map[string]string{"ZIP": Wildcard, "CT": Wildcard}},
+		{ID: "rhs-in-lhs", LHS: []string{"ZIP", "CT"}, RHS: "ZIP", TP: map[string]string{"ZIP": Wildcard, "CT": Wildcard}},
+		{ID: "no-lhs-pattern", LHS: []string{"ZIP", "STR"}, RHS: "CT", TP: map[string]string{"ZIP": "46360", "CT": Wildcard}},
+		{ID: "no-rhs-pattern", LHS: []string{"ZIP"}, RHS: "CT", TP: map[string]string{"ZIP": "46360"}},
+		{ID: "extra-pattern", LHS: []string{"ZIP"}, RHS: "CT", TP: map[string]string{"ZIP": "46360", "CT": Wildcard, "STT": "IN"}},
+	}
+	for _, r := range bad {
+		if _, err := NewEngine(db, []*CFD{r}); err == nil {
+			t.Errorf("NewEngine accepted malformed rule %s", r.ID)
+		}
+	}
+}
+
 // randomInstance builds a random instance + rule set for property testing.
 func randomInstance(r *rand.Rand, n int) (*relation.DB, []*CFD) {
 	schema := relation.MustSchema("R", []string{"A", "B", "C", "D"})

@@ -21,9 +21,9 @@ import (
 // bookkeeping, the learner state and the deterministic-randomness cursors.
 //
 // Deliberately absent: the violation engine's indexes, the co-occurrence
-// indexes, the similarity memo, the VOI benefit cache and the prediction
-// cache — all are pure functions of the instance and are rebuilt (eagerly
-// or lazily) by RestoreSession. The VOI rule weights are NOT such a cache:
+// indexes, the similarity memo and the prediction cache — all are pure
+// functions of the instance and are rebuilt (eagerly or lazily) by
+// RestoreSession. The VOI rule weights are NOT such a cache:
 // the paper fixes wi = |D(φi)|/|D| on the instance at session start, and
 // the instance has mutated since, so they are carried explicitly.
 type SessionState struct {

@@ -118,14 +118,17 @@ func TestRankOrdersByBenefit(t *testing.T) {
 	}
 }
 
+// TestRawBenefitCacheInvalidation checks that a long-lived ranker's scores
+// follow the engine: stable while nothing changes, equal to a fresh
+// ranker's after a repair. (The ranker once cached benefits; it keeps no
+// state now, and this pins that no stale score can come back.)
 func TestRawBenefitCacheInvalidation(t *testing.T) {
 	e, g, _ := workedExample(t)
 	r := NewRanker(e)
 	u := g.Updates[0]
 	before := r.RawBenefit(u)
-	// Cached value is returned when nothing changed.
 	if again := r.RawBenefit(u); !almost(before, again) {
-		t.Fatalf("cache changed a stable value: %v vs %v", before, again)
+		t.Fatalf("rescoring changed a stable value: %v vs %v", before, again)
 	}
 	// Fix one of the other violating tuples: vio(D,{φ1}) drops to 3 and the
 	// satisfied count rises, so the benefit of u must change.
@@ -133,7 +136,7 @@ func TestRawBenefitCacheInvalidation(t *testing.T) {
 	after := r.RawBenefit(u)
 	fresh := NewRanker(e, WithWeights(weightsOf(r, e)))
 	if want := fresh.RawBenefit(u); !almost(after, want) {
-		t.Fatalf("stale cache: %v, fresh ranker says %v", after, want)
+		t.Fatalf("stale score: %v, fresh ranker says %v", after, want)
 	}
 	if almost(before, after) {
 		t.Fatalf("benefit should have changed after repair (%v)", before)
