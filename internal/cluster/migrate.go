@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -285,11 +286,15 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 	return nil
 }
 
+// errSessionGone marks an export that found no session on the node (a 404):
+// it was deleted, or moved, after the caller chose the node.
+var errSessionGone = errors.New("session gone")
+
 // exportSession pulls a session's snapshot bytes off a node, plus the
 // mutation sequence the bytes capture (the replica push watermark) and the
 // owning tenant, both from the export's response headers. A node predating
 // those headers yields seq 0 and tenant "" — still importable, just
-// watermarked conservatively.
+// watermarked conservatively. A 404 wraps errSessionGone.
 func (p *Proxy) exportSession(ctx context.Context, node, token string) ([]byte, uint64, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/sessions/"+token+"/snapshot", nil)
 	if err != nil {
@@ -301,6 +306,9 @@ func (p *Proxy) exportSession(ctx context.Context, node, token string) ([]byte, 
 		return nil, 0, "", err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, 0, "", fmt.Errorf("%s: %s: %w", resp.Status, readErrorBody(resp.Body), errSessionGone)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, "", fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
 	}

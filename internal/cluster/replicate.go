@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -168,6 +169,12 @@ func (p *Proxy) pushReplica(ctx context.Context, token string) error {
 		return nil // single-node ring: nowhere distinct to replicate
 	}
 	snap, seq, tenant, err := p.exportSession(ctx, primary, token)
+	if errors.Is(err, errSessionGone) {
+		// Deleted after the push was queued: there is nothing to push, and
+		// the delete queued its own replica drop. Were it moved instead, the
+		// audit re-derives placement on the next health tick.
+		return nil
+	}
 	if err != nil {
 		return fmt.Errorf("exporting %s from %s: %w", token, primary, err)
 	}

@@ -145,6 +145,41 @@ func TestProxyReplicatesOnCreateAndFeedback(t *testing.T) {
 	}
 }
 
+// TestReplicaPushAfterDeleteIsNoop pins the race between a queued push and
+// a DELETE landing on the session's node before the drain: the export's 404
+// means there is nothing to push, so the drain reports no error and counts
+// no failure.
+func TestReplicaPushAfterDeleteIsNoop(t *testing.T) {
+	p, nodes, _ := newTestProxy(t, 3, nil)
+	token := strings.Repeat("5e", 16)
+	owner := nodeByURL(nodes, p.currentRing().Lookup(token))
+	owner.put(token, "")
+	p.enqueueReplicate(token)
+
+	req, _ := http.NewRequest(http.MethodDelete, owner.ts.URL+"/v1/sessions/"+token, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete on the node: %d", resp.StatusCode)
+	}
+
+	if err := p.drainReplication(context.Background()); err != nil {
+		t.Fatalf("drain after delete: %v", err)
+	}
+	if !owner.saw("POST /v1/sessions/" + token + "/snapshot") {
+		t.Fatal("the drain never tried the export")
+	}
+	if v := p.reg.Counter("gdrproxy_replica_push_failures_total").Value(); v != 0 {
+		t.Fatalf("push failures = %d, want 0", v)
+	}
+	if _, ok := replicaOf(p, nodes, token).replica(token); ok {
+		t.Fatal("a replica appeared for a deleted session")
+	}
+}
+
 // TestProxyFeedbackResponseEnqueuesPush pins the observe hook itself: a
 // feedback 200 flowing through the reverse proxy queues the token.
 func TestProxyFeedbackResponseEnqueuesPush(t *testing.T) {

@@ -55,7 +55,6 @@ func (s *Session) Insert(t relation.Tuple) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.tupleVer = append(s.tupleVer, 0)
 	s.revisit(affected)
 	return tid, nil
 }
@@ -86,7 +85,6 @@ func (s *Session) LearnerDecision(u repair.Update, fb repair.Feedback) bool {
 func (s *Session) revisit(tids []int) {
 	dirty := make([]int, 0, len(tids))
 	for _, tid := range tids {
-		s.tupleVer[tid]++
 		for _, attr := range s.db.Schema.Attrs {
 			s.index.Delete(repair.CellKey{Tid: tid, Attr: attr})
 		}

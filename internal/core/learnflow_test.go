@@ -71,7 +71,12 @@ func TestLearnerDecisionSemantics(t *testing.T) {
 	}
 }
 
-func TestPredictCacheConsistency(t *testing.T) {
+// TestPredictStableUntilRetrain pins what p̃j depends on: the committee's
+// training set and the tuple. Repeated predictions with no new example are
+// identical and regrow nothing, and the first prediction after an Add
+// regrows the committee exactly once. Retrains seeds the committee and is
+// serialized, so this cadence is what keeps snapshot bytes stable.
+func TestPredictStableUntilRetrain(t *testing.T) {
 	s := figure1Session(t)
 	u := repair.Update{Tid: 3, Attr: "CT", Value: "Michigan City", Score: 0.5}
 	// Train enough to predict.
@@ -79,21 +84,35 @@ func TestPredictCacheConsistency(t *testing.T) {
 		s.LearnFrom(repair.Update{Tid: tid, Attr: "CT", Value: "Michigan City", Score: 0.5}, repair.Confirm)
 	}
 	s.LearnFrom(repair.Update{Tid: 6, Attr: "CT", Value: "New Haven", Score: 0.5}, repair.Confirm)
+	retrains := func() int64 { return s.ModelFor("CT").State().Retrains }
 
 	l1, v1, ok1 := s.Predict(u)
-	l2, v2, ok2 := s.Predict(u) // cached path
+	before := retrains()
+	l2, v2, ok2 := s.Predict(u)
 	if l1 != l2 || v1 != v2 || ok1 != ok2 {
-		t.Fatalf("cached prediction differs: %v/%v vs %v/%v", l1, v1, l2, v2)
+		t.Fatalf("repeated prediction differs: %v/%v vs %v/%v", l1, v1, l2, v2)
 	}
-	// New training data invalidates the cache (same call may now differ, but
-	// must at least be recomputed without error and stay in range).
+	for i := 0; i < 3; i++ {
+		s.Predict(u)
+		s.Prob(u)
+	}
+	if got := retrains(); got != before {
+		t.Fatalf("predictions with no new example retrained: %d -> %d", before, got)
+	}
+	// A new example makes the next prediction regrow the committee (it may
+	// now differ, but must be computed without error and stay in range),
+	// exactly once.
 	s.LearnFrom(repair.Update{Tid: 3, Attr: "CT", Value: "Michigan City", Score: 0.5}, repair.Reject)
 	l3, v3, ok3 := s.Predict(u)
 	if !ok3 || l3 < 0 || l3 >= learn.NumLabels {
-		t.Fatalf("post-invalidation prediction: %v %v %v", l3, v3, ok3)
+		t.Fatalf("post-retrain prediction: %v %v %v", l3, v3, ok3)
 	}
-	// Changing the tuple (via a confirm on another attribute) also
-	// invalidates: the features include the whole tuple.
+	s.Predict(u)
+	if got := retrains(); got != before+1 {
+		t.Fatalf("one Add then two predictions: retrains %d -> %d, want +1", before, got)
+	}
+	// Changing the tuple (via a confirm on another attribute) changes the
+	// features, since they include the whole tuple.
 	s.ApplyFeedback(repair.Update{Tid: 3, Attr: "STT", Value: "IN", Score: 1}, repair.Retain)
 	s.ApplyFeedback(repair.Update{Tid: 3, Attr: "SRC", Value: "H9", Score: 1}, repair.Confirm)
 	if _, _, ok := s.Predict(u); !ok {

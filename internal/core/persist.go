@@ -21,11 +21,11 @@ import (
 // bookkeeping, the learner state and the deterministic-randomness cursors.
 //
 // Deliberately absent: the violation engine's indexes, the co-occurrence
-// indexes, the similarity memo and the prediction cache — all are pure
-// functions of the instance and are rebuilt (eagerly or lazily) by
-// RestoreSession. The VOI rule weights are NOT such a cache:
-// the paper fixes wi = |D(φi)|/|D| on the instance at session start, and
-// the instance has mutated since, so they are carried explicitly.
+// indexes and the similarity memo — all are pure functions of the
+// instance and are rebuilt (eagerly or lazily) by RestoreSession. The VOI
+// rule weights are NOT such a cache: the paper fixes wi = |D(φi)|/|D| on
+// the instance at session start, and the instance has mutated since, so
+// they are carried explicitly.
 type SessionState struct {
 	// Config is the session's effective configuration (defaults applied).
 	Config Config
@@ -218,8 +218,6 @@ func RestoreSession(st *SessionState) (*Session, error) {
 		staleBuf:     make([]bool, db.Schema.Arity()),
 		models:       make(map[string]*learn.Model, len(st.Models)),
 		hits:         make(map[string][]bool, len(st.Hits)),
-		predCache:    make(map[predKey]predVal),
-		tupleVer:     make([]uint32, db.N()),
 		initialDirty: st.InitialDirty,
 		Applied:      st.Applied,
 		ForcedFixes:  st.ForcedFixes,

@@ -134,12 +134,6 @@ type Session struct {
 	// matched the user's subsequent answers (a sliding window).
 	hits map[string][]bool
 
-	// predCache memoizes committee predictions; entries are keyed on the
-	// model generation and the tuple version, so they survive across the
-	// many pool re-rankings of active learning and VOI scoring.
-	predCache map[predKey]predVal
-	tupleVer  []uint32
-
 	// shuffles counts the Groups(OrderRandom, nil) fallback shuffles so
 	// far. Each shuffle draws from a fresh RNG derived from (Config.Seed,
 	// shuffles) — deterministic per session, and the counter is the entire
@@ -193,8 +187,6 @@ func NewSession(db *relation.DB, rules []*cfd.CFD, cfg Config) (*Session, error)
 		staleBuf:     make([]bool, db.Schema.Arity()),
 		models:       make(map[string]*learn.Model),
 		hits:         make(map[string][]bool),
-		predCache:    make(map[predKey]predVal),
-		tupleVer:     make([]uint32, db.N()),
 		initialDirty: eng.DirtyCount(),
 	}
 	for _, u := range gen.SuggestAll() {
@@ -398,48 +390,20 @@ func (s *Session) staleKey(k group.Key) bool {
 }
 
 // scoreGroups computes Eq. 6 benefits for the dirty groups the index hands
-// over (key-ordered). With Config.Workers > 1 the committee probabilities
-// p̃j are warmed serially first — committee (re)training, model creation and
-// the prediction memo are single-goroutine — after which scoring is
-// read-only and fans out over the worker pool; the benefits are identical
-// at any worker count.
+// over (key-ordered). With Config.Workers > 1 one p̃j per group is taken
+// serially first: a group holds one attribute, so this creates and
+// (re)trains, in key order, every committee the scoring will consult. After
+// that Prob is read-only and scoring fans out over the worker pool; the
+// benefits are identical at any worker count.
 func (s *Session) scoreGroups(gs []*group.Group) {
 	if s.cfg.Workers > 1 && len(gs) > 1 {
 		for _, g := range gs {
-			for _, u := range g.Updates {
-				s.Prob(u)
-			}
+			s.Prob(g.Updates[0])
 		}
-		s.ranker.ScoreGroups(gs, s.probFrozen, s.cfg.Workers)
+		s.ranker.ScoreGroups(gs, s.Prob, s.cfg.Workers)
 		return
 	}
 	s.ranker.ScoreGroups(gs, s.Prob, 1)
-}
-
-// probFrozen is Session.Prob for the read-only parallel scoring phase: it
-// serves p̃j from the prediction memo the serial warm-up just filled,
-// writing nothing. If the memo entry was lost to a capacity reset mid-warm,
-// the prediction is recomputed without memoizing — safe concurrently, since
-// the warm-up already (re)trained every committee the dirty groups touch,
-// leaving Model.Predict a pure read.
-func (s *Session) probFrozen(u repair.Update) float64 {
-	m, ok := s.models[u.Attr]
-	if !ok {
-		return u.Score
-	}
-	key := predKey{cell: u.Cell(), value: u.Value}
-	if v, hit := s.predCache[key]; hit && v.modelGen == m.Gen() && v.tupleVer == s.tupleVer[u.Tid] {
-		if !v.ok {
-			return u.Score
-		}
-		return v.votes[learn.Confirm]
-	}
-	cats, sim := s.Features(u)
-	_, votes, ready := m.Predict(cats, sim)
-	if !ready {
-		return u.Score
-	}
-	return votes[learn.Confirm]
 }
 
 // model returns (creating if needed) the learner for an attribute.
@@ -462,9 +426,11 @@ func (s *Session) model(attr string) *learn.Model {
 // value as categorical features, plus R(t[Ai], v) as the numeric
 // relationship feature. It must be called before the update is applied.
 func (s *Session) Features(u repair.Update) (cats []string, sim float64) {
-	t := s.db.Tuple(u.Tid)
-	cats = make([]string, 0, len(t)+1)
-	cats = append(cats, t...)
+	arity := s.db.Schema.Arity()
+	cats = make([]string, 0, arity+1)
+	for ai := 0; ai < arity; ai++ {
+		cats = append(cats, s.db.GetAt(u.Tid, ai))
+	}
 	cats = append(cats, u.Value)
 	return cats, strsim.Similarity(s.db.Get(u.Tid, u.Attr), u.Value)
 }
@@ -517,52 +483,27 @@ func (s *Session) Trusted(attr string) bool {
 	return ok && acc >= s.cfg.MinAccuracy
 }
 
-type predKey struct {
-	cell  repair.CellKey
-	value string
-}
-
-type predVal struct {
-	label    learn.Label
-	votes    learn.Votes
-	ok       bool
-	modelGen int64
-	tupleVer uint32
-}
-
-// maxPredCache bounds the prediction cache; it is reset when full.
-const maxPredCache = 1 << 18
-
 // Predict consults the attribute's model for an update. ok is false while
-// the model lacks training data. Results are memoized until the attribute's
-// model retrains or the tuple changes.
+// the model lacks training data; the features are only built once it can
+// vote. Once the committees a caller touches exist and are trained,
+// Predict is read-only and safe for concurrent calls.
 func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 	m := s.model(u.Attr)
-	key := predKey{cell: u.Cell(), value: u.Value}
-	ver := s.tupleVer[u.Tid]
-	if v, hit := s.predCache[key]; hit && v.modelGen == m.Gen() && v.tupleVer == ver {
-		return v.label, v.votes, v.ok
+	if !m.Ready() {
+		return learn.Confirm, learn.Votes{}, false
 	}
 	cats, sim := s.Features(u)
-	var label learn.Label
-	var votes learn.Votes
-	var ok bool
-	if m.NeedsRetrain() {
-		// The retrain is the expensive part of this Predict; the phase span
-		// covers the whole call so the committee growth is attributed, not
-		// the cheap vote.
-		done := s.phase(PhaseRetrain)
-		label, votes, ok = m.Predict(cats, sim)
-		if done != nil {
-			done()
-		}
-	} else {
-		label, votes, ok = m.Predict(cats, sim)
+	if !m.NeedsRetrain() {
+		return m.Predict(cats, sim)
 	}
-	if len(s.predCache) >= maxPredCache {
-		s.predCache = make(map[predKey]predVal)
+	// The retrain is the expensive part of this Predict; the phase span
+	// covers the whole call so the committee growth is attributed, not the
+	// cheap vote.
+	done := s.phase(PhaseRetrain)
+	label, votes, ok := m.Predict(cats, sim)
+	if done != nil {
+		done()
 	}
-	s.predCache[key] = predVal{label: label, votes: votes, ok: ok, modelGen: m.Gen(), tupleVer: ver}
 	return label, votes, ok
 }
 

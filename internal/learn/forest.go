@@ -234,7 +234,8 @@ func (m *Model) Add(ex Example) {
 func (m *Model) Len() int { return len(m.examples) }
 
 // Gen returns a counter that changes whenever the model's training set
-// (and therefore its predictions) may have changed; caches key on it.
+// (and therefore its predictions) may have changed; the session's per-
+// attribute staleness signature keys on it.
 func (m *Model) Gen() int64 { return int64(len(m.examples)) }
 
 // Ready reports whether the model has enough feedback to predict.

@@ -130,8 +130,8 @@ func (r *Ranker) RankParallel(gs []*group.Group, prob Prob, workers int) {
 // them — the re-score half of ranking, which the incremental group index
 // applies to dirty groups only. Scoring is read-only against the engine, so
 // the only requirement for workers > 1 is that prob be safe for concurrent
-// calls (a warmed memo, or a pure function
-// like ScoreProb). Each group's sum is accumulated in update order, so the
+// calls (a session's Prob once its committees are trained, or a pure
+// function like ScoreProb). Each group's sum is accumulated in update order, so the
 // resulting benefits — and therefore any ranking built from them — are
 // bit-identical to the serial path at any worker count.
 func (r *Ranker) ScoreGroups(gs []*group.Group, prob Prob, workers int) {
