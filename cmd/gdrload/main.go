@@ -1,6 +1,7 @@
 // Command gdrload replays oracle-simulated users against a gdrd server and
-// reports end-to-end feedback-round throughput and latency percentiles —
-// the multi-session benchmark behind BENCH_3.json.
+// reports end-to-end feedback-round throughput and latency percentiles
+// across many concurrent sessions. (The repo's benchmark is perfbench/;
+// gdrload is the load and chaos driver.)
 //
 // It generates one synthetic workload per session (distinct seeds), uploads
 // the dirty instances, then spins N concurrent users across the M sessions;
@@ -13,11 +14,13 @@
 //	gdrload -selfhost -sessions 4 -users 8     # in-process server, loopback HTTP
 //	gdrload -proxy 3 -kill -sessions 4 -users 8  # in-process 3-node cluster
 //
-// -proxy N boots an in-process cluster — N cluster-mode gdrd nodes with
-// durable data dirs behind a real gdrproxy ring — and drives the load
+// -proxy N boots an in-process cluster through internal/cluster/clustertest
+// — the rig the cluster equivalence suites use: N cluster-mode gdrd nodes
+// with durable data dirs behind a real gdrproxy ring — and drives the load
 // through the gateway; the report gains a per-node distribution (requests,
 // owned sessions, migrations, replica pushes and promotions). -kill
-// additionally crashes one node mid-drive: the proxy's failover must
+// additionally closes, in process, the node that owns tenant 0's session
+// once max(2, users/2) feedback rounds are done: the proxy's failover must
 // restore its sessions onto the survivors and every tenant must still
 // finish.
 //
@@ -35,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -48,7 +50,7 @@ import (
 	"time"
 
 	"gdr"
-	"gdr/internal/cluster"
+	"gdr/internal/cluster/clustertest"
 	"gdr/internal/server"
 )
 
@@ -257,15 +259,23 @@ func run(cfg runConfig, out io.Writer) error {
 	if cfg.kill && cfg.proxyN < 2 {
 		return fmt.Errorf("-kill needs -proxy with at least 2 nodes")
 	}
-	var rig *clusterRig
+	var rig *clustertest.Cluster
 	switch {
 	case cfg.proxyN > 0:
+		// The nodes share the load generator's worker budget (at least 1
+		// each); the probe cadence is slower than the rig's test default.
 		var err error
-		if rig, err = startClusterRig(cfg.proxyN, workers, sessions); err != nil {
+		rig, err = clustertest.New(clustertest.Options{
+			N:           cfg.proxyN,
+			Workers:     max(workers/cfg.proxyN, 1),
+			HealthEvery: 100 * time.Millisecond,
+			FailAfter:   2,
+		})
+		if err != nil {
 			return err
 		}
-		defer rig.close()
-		addr = rig.url
+		defer rig.Close()
+		addr = rig.URL()
 	case cfg.selfhost:
 		srv := server.New(server.Config{Workers: workers, MaxSessions: sessions + 1})
 		defer srv.Close()
@@ -354,17 +364,20 @@ func run(cfg runConfig, out io.Writer) error {
 			}
 		}(u)
 	}
+	var killed string
+	var killer sync.WaitGroup
 	if cfg.kill && rig != nil {
 		// Crash the node owning the first tenant's session once the drive
 		// is demonstrably under way; the failover path must finish the run.
-		threshold := users / 2
-		if threshold < 2 {
-			threshold = 2
-		}
-		go rig.killWhenBusy(&cnt, threshold, tenants[0].id, driveDone)
+		killer.Add(1)
+		go func() {
+			defer killer.Done()
+			killed = killWhenBusy(rig, &cnt, max(users/2, 2), tenants[0].id, driveDone)
+		}()
 	}
 	wg.Wait()
 	close(driveDone)
+	killer.Wait() // no kill lands in the report or the teardown
 	wall := time.Since(driveStart).Seconds()
 	close(errc)
 	for err := range errc {
@@ -379,7 +392,7 @@ func run(cfg runConfig, out io.Writer) error {
 		for i, tn := range tenants {
 			ids[i] = tn.id
 		}
-		clusterRep = rig.report(ids)
+		clusterRep = clusterReport(rig, killed, ids)
 	}
 
 	// Final per-session state, then teardown.
@@ -556,139 +569,48 @@ func workload(ds, n int, seed int64) (*gdr.Data, error) {
 	}
 }
 
-// clusterRig is the -proxy in-process cluster: N cluster-mode gdrd
-// servers, each with its own durable data dir, behind a real gdrproxy
-// ring listening on a loopback gateway.
-type clusterRig struct {
-	proxy *cluster.Proxy
-	gwLn  net.Listener
-	gwHS  *http.Server
-	url   string
-	urls  []string // boot order, stable for reporting
-
-	mu     sync.Mutex
-	nodes  map[string]*rigNode // gdr:guarded-by mu
-	killed string              // gdr:guarded-by mu — URL of the crashed node ("" if none)
-}
-
-// rigNode is one in-process cluster member.
-type rigNode struct {
-	url     string
-	dataDir string
-	srv     *server.Server
-	hs      *http.Server
-}
-
-// startClusterRig boots n nodes and the proxy. The nodes share the load
-// generator's worker budget evenly-ish (at least 1 each).
-func startClusterRig(n, workers, sessions int) (*clusterRig, error) {
-	rig := &clusterRig{nodes: make(map[string]*rigNode, n)}
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	perNode := workers / n
-	if perNode < 1 {
-		perNode = 1
-	}
-	dataDirs := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		dir, err := os.MkdirTemp("", "gdrload-node-*")
-		if err != nil {
-			rig.close()
-			return nil, err
-		}
-		srv := server.New(server.Config{
-			ClusterMode: true,
-			DataDir:     dir,
-			Workers:     perNode,
-			MaxSessions: sessions + 1,
-			Logger:      quiet,
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			os.RemoveAll(dir)
-			rig.close()
-			return nil, err
-		}
-		node := &rigNode{
-			url:     "http://" + ln.Addr().String(),
-			dataDir: dir,
-			srv:     srv,
-			hs:      &http.Server{Handler: srv.Handler()},
-		}
-		go func() { _ = node.hs.Serve(ln) }()
-		rig.mu.Lock()
-		rig.nodes[node.url] = node
-		rig.mu.Unlock()
-		rig.urls = append(rig.urls, node.url)
-		dataDirs[node.url] = dir
-	}
-	p, err := cluster.New(cluster.Config{
-		Nodes:       rig.urls,
-		DataDirs:    dataDirs,
-		HealthEvery: 100 * time.Millisecond,
-		FailAfter:   2,
-		Logger:      quiet,
-	})
-	if err != nil {
-		rig.close()
-		return nil, err
-	}
-	rig.proxy = p
-	p.Start()
-	gwLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		rig.close()
-		return nil, err
-	}
-	rig.gwLn = gwLn
-	rig.gwHS = &http.Server{Handler: p.Handler()}
-	go func() { _ = rig.gwHS.Serve(gwLn) }()
-	rig.url = "http://" + gwLn.Addr().String()
-	return rig, nil
-}
-
 // killWhenBusy crashes the node owning the probe session once the drive
-// has completed at least minRounds feedback rounds (or gives up when the
-// drive finishes first).
-func (r *clusterRig) killWhenBusy(cnt *counters, minRounds int, probeToken string, done <-chan struct{}) {
+// has completed at least minRounds feedback rounds, and returns its URL.
+// It kills nothing, and returns "", once done is closed: a kill after the
+// drive would land in the middle of the report and the teardown.
+func killWhenBusy(c *clustertest.Cluster, cnt *counters, minRounds int, probeToken string, done <-chan struct{}) string {
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
 	for {
+		select {
+		case <-done:
+			return ""
+		case <-tick.C:
+		}
 		cnt.mu.Lock()
 		busy := cnt.rounds >= minRounds
 		cnt.mu.Unlock()
 		if busy {
 			break
 		}
-		select {
-		case <-done:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
 	}
-	victim := r.proxy.Ring().Lookup(probeToken)
-	r.mu.Lock()
-	node := r.nodes[victim]
-	if node == nil || r.killed != "" {
-		r.mu.Unlock()
-		return
+	select {
+	case <-done:
+		return "" // the drive ended while the last poll ran
+	default:
 	}
-	r.killed = victim
-	r.mu.Unlock()
+	victim := c.Owner(probeToken)
+	if victim < 0 {
+		return ""
+	}
 	// Abrupt: close the listener mid-flight, nothing drains — the health
-	// loop must notice and restore the node's sessions from its data dir.
-	_ = node.hs.Close()
-	node.srv.Close()
+	// loop must notice and fail the node's sessions over to the survivors.
+	c.Kill(victim)
+	return c.Nodes[victim].URL
 }
 
-// report reads the post-drive distribution off the ring and the proxy's
-// own metrics.
-func (r *clusterRig) report(sessionIDs []string) *ClusterReport {
-	ring := r.proxy.Ring()
-	reg := r.proxy.Registry()
-	r.mu.Lock()
-	killed := r.killed
-	r.mu.Unlock()
+// clusterReport reads the post-drive distribution off the ring and the
+// proxy's own metrics.
+func clusterReport(c *clustertest.Cluster, killed string, sessionIDs []string) *ClusterReport {
+	ring := c.Proxy.Ring()
+	reg := c.Proxy.Registry()
 	rep := &ClusterReport{
-		Nodes:         len(r.urls),
+		Nodes:         len(c.Nodes),
 		KilledNode:    killed,
 		RingVersion:   ring.Version(),
 		Migrations:    reg.Counter("gdrproxy_migrations_total").Value(),
@@ -696,41 +618,21 @@ func (r *clusterRig) report(sessionIDs []string) *ClusterReport {
 		ReplicaPushes: reg.Counter("gdrproxy_replica_pushes_total").Value(),
 		Promotions:    reg.Counter("gdrproxy_replica_promotions_total").Value(),
 	}
-	for _, url := range r.urls {
+	for _, n := range c.Nodes {
 		owned := 0
 		for _, id := range sessionIDs {
-			if ring.Lookup(id) == url {
+			if ring.Lookup(id) == n.URL {
 				owned++
 			}
 		}
 		rep.PerNode = append(rep.PerNode, NodeLoad{
-			URL:      url,
-			Live:     ring.Has(url),
-			Requests: reg.LabeledCounter("gdrproxy_requests_total", "node", url).Value(),
+			URL:      n.URL,
+			Live:     ring.Has(n.URL),
+			Requests: reg.LabeledCounter("gdrproxy_requests_total", "node", n.URL).Value(),
 			Sessions: owned,
 		})
 	}
 	return rep
-}
-
-// close tears the rig down and removes the node data dirs.
-func (r *clusterRig) close() {
-	if r.gwHS != nil {
-		_ = r.gwHS.Close()
-	}
-	if r.proxy != nil {
-		r.proxy.Close()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, url := range r.urls {
-		node := r.nodes[url]
-		if url != r.killed {
-			_ = node.hs.Close()
-			node.srv.Close()
-		}
-		os.RemoveAll(node.dataDir)
-	}
 }
 
 // Retry policy for shed (429/503) responses.

@@ -24,7 +24,7 @@ import (
 // sessionCopies counts how many live nodes hold a copy of the token —
 // asked of the nodes directly, not through the proxy, so routing overrides
 // cannot hide a duplicate.
-func sessionCopies(t testing.TB, c *Cluster, token string) int {
+func sessionCopies(t testing.TB, c *testRig, token string) int {
 	t.Helper()
 	copies := 0
 	for _, n := range c.Nodes {
@@ -51,7 +51,7 @@ func sessionCopies(t testing.TB, c *Cluster, token string) int {
 }
 
 // mustCopies asserts the never-lost / never-duplicated invariant.
-func mustCopies(t testing.TB, c *Cluster, token string, want int, label string) {
+func mustCopies(t testing.TB, c *testRig, token string, want int, label string) {
 	t.Helper()
 	if got := sessionCopies(t, c, token); got != want {
 		t.Fatalf("%s: session %s exists on %d nodes, want %d", label, token, got, want)
@@ -60,7 +60,7 @@ func mustCopies(t testing.TB, c *Cluster, token string, want int, label string) 
 
 // waitConverged blocks until the proxy's stale ledger drains (the health
 // loop's sweep runs every HealthEvery).
-func waitConverged(t testing.TB, c *Cluster, deadline time.Duration) {
+func waitConverged(t testing.TB, c *testRig, deadline time.Duration) {
 	t.Helper()
 	end := time.Now().Add(deadline)
 	for c.Proxy.StaleCount() > 0 {

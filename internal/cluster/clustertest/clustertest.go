@@ -1,11 +1,13 @@
-// Package clustertest boots a real multi-node gdrd cluster inside one test
+// Package clustertest boots a real multi-node gdrd cluster inside one
 // process: K genuine server.Server instances (cluster mode, each with its
 // own snapshot directory) listening on loopback ports, fronted by a real
-// cluster.Proxy. Tests drive oracle repair traffic through the proxy,
-// inject ring changes (graceful drains, node crashes, fault-injected
-// migrations) mid-session, and assert that a migrated session remains
-// byte-identical to an unmigrated control at the same trace point — the
-// equivalence bar that proves live migration safe.
+// cluster.Proxy served on a loopback gateway. The equivalence suites drive
+// oracle repair traffic through the proxy, inject ring changes (graceful
+// drains, node crashes, fault-injected migrations) mid-session, and assert
+// that a migrated session remains byte-identical to an unmigrated control
+// at the same trace point — the equivalence bar that proves live migration
+// safe. gdrload's -proxy mode boots the same rig, so the kill-under-load
+// drive runs the code those suites prove.
 package clustertest
 
 import (
@@ -15,9 +17,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"testing"
+	"strings"
 	"time"
 
 	"gdr/internal/cluster"
@@ -32,11 +33,10 @@ type Node struct {
 	DataDir string
 
 	srv *server.Server
-	hs  *http.Server
-	ln  net.Listener
+	hs  *http.Server // nil while the node is killed
 }
 
-// Options shapes a test cluster.
+// Options shapes a cluster.
 type Options struct {
 	// N is the node count (default 3).
 	N int
@@ -49,7 +49,7 @@ type Options struct {
 	// Faults plugs a proxy-side injector into the migration machinery.
 	Faults *faultfs.Injector
 	// HealthEvery / FailAfter / SettleGrace tune the membership loop
-	// (fast test defaults: 50ms / 2 / 250ms).
+	// (fast defaults: 50ms / 2 / 250ms).
 	HealthEvery time.Duration
 	FailAfter   int
 	SettleGrace time.Duration
@@ -57,22 +57,24 @@ type Options struct {
 
 // Cluster is the booted rig: nodes, proxy, and the proxy's front door.
 type Cluster struct {
-	tb      testing.TB
-	opts    Options
-	Nodes   []*Node
-	Proxy   *cluster.Proxy
-	Gateway *httptest.Server
+	opts  Options
+	Nodes []*Node
+	Proxy *cluster.Proxy
+	gw    *http.Server
+	url   string
 }
 
 // quietLogger drops everything below Error — the rig boots and kills whole
-// servers, and their routine lifecycle chatter would bury test output.
+// servers, and their routine lifecycle chatter would bury the caller's
+// output.
 func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// Start boots the rig and registers cleanup on tb.
-func Start(tb testing.TB, opts Options) *Cluster {
-	tb.Helper()
+// New boots the nodes, each on a fresh temporary data dir, then the proxy
+// and its gateway. On error everything already booted is torn down. Close
+// stops the rig and removes the data dirs.
+func New(opts Options) (*Cluster, error) {
 	if opts.N <= 0 {
 		opts.N = 3
 	}
@@ -91,14 +93,23 @@ func Start(tb testing.TB, opts Options) *Cluster {
 	if opts.SettleGrace <= 0 {
 		opts.SettleGrace = 250 * time.Millisecond
 	}
-	c := &Cluster{tb: tb, opts: opts}
-	urls := make([]string, opts.N)
+	c := &Cluster{opts: opts}
+	urls := make([]string, 0, opts.N)
 	dataDirs := make(map[string]string, opts.N)
 	for i := 0; i < opts.N; i++ {
-		n := c.bootNode(tb.TempDir())
+		dir, err := os.MkdirTemp("", "clustertest-node-*")
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		n := &Node{DataDir: dir}
 		c.Nodes = append(c.Nodes, n)
-		urls[i] = n.URL
-		dataDirs[n.URL] = n.DataDir
+		if err := c.boot(n, "127.0.0.1:0"); err != nil {
+			c.Close()
+			return nil, err
+		}
+		urls = append(urls, n.URL)
+		dataDirs[n.URL] = dir
 	}
 	p, err := cluster.New(cluster.Config{
 		Nodes:       urls,
@@ -111,125 +122,83 @@ func Start(tb testing.TB, opts Options) *Cluster {
 		Faults:      opts.Faults,
 	})
 	if err != nil {
-		tb.Fatal(err)
+		c.Close()
+		return nil, err
 	}
 	c.Proxy = p
 	p.Start()
-	c.Gateway = httptest.NewServer(p.Handler())
-	tb.Cleanup(c.Close)
-	return c
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.gw = &http.Server{Handler: p.Handler()}
+	c.url = "http://" + ln.Addr().String()
+	go serve(c.gw, ln)
+	return c, nil
 }
 
-// bootNode starts one real gdrd server on a loopback port.
-func (c *Cluster) bootNode(dataDir string) *Node {
-	c.tb.Helper()
+// boot starts a gdrd server for n on addr ("127.0.0.1:0" picks a port)
+// over n's data dir. New and Restart both come through here.
+func (c *Cluster) boot(n *Node, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	srv := server.New(server.Config{
 		ClusterMode: true,
-		DataDir:     dataDir,
+		DataDir:     n.DataDir,
 		Workers:     c.opts.Workers,
+		MaxSessions: -1,
 		TTL:         time.Hour,
 		Session:     core.Config{Workers: c.opts.SessionWorkers},
 		Logger:      quietLogger(),
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		c.tb.Fatal(err)
+	hs := &http.Server{Handler: srv.Handler()}
+	n.URL = "http://" + ln.Addr().String()
+	n.srv, n.hs = srv, hs
+	go serve(hs, ln)
+	return nil
+}
+
+// serve runs hs on ln until it is closed.
+func serve(hs *http.Server, ln net.Listener) {
+	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
+		// The rig closes listeners on purpose; anything else is worth
+		// surfacing.
+		os.Stderr.WriteString("clustertest: serve: " + err.Error() + "\n")
 	}
-	n := &Node{
-		URL:     "http://" + ln.Addr().String(),
-		DataDir: dataDir,
-		srv:     srv,
-		hs:      &http.Server{Handler: srv.Handler()},
-		ln:      ln,
-	}
-	go func() {
-		if err := n.hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-			// The rig closes listeners on purpose; anything else is test noise
-			// worth surfacing.
-			os.Stderr.WriteString("clustertest: node serve: " + err.Error() + "\n")
-		}
-	}()
-	return n
 }
 
 // URL is the cluster's front door — clients talk only to the proxy.
-func (c *Cluster) URL() string { return c.Gateway.URL }
+func (c *Cluster) URL() string { return c.url }
 
-// Client returns the gateway's HTTP client.
-func (c *Cluster) Client() *http.Client { return c.Gateway.Client() }
+// Client returns an HTTP client for the gateway.
+func (c *Cluster) Client() *http.Client { return http.DefaultClient }
 
 // Kill makes node i drop off the network abruptly, like a crashed process:
 // its listener closes mid-flight and nothing drains. The node's snapshot
-// directory survives — that is what the proxy's failover restores from.
+// directory survives — that is what the proxy's disk failover restores
+// from.
 func (c *Cluster) Kill(i int) {
-	c.tb.Helper()
 	n := c.Nodes[i]
 	if n.hs == nil {
 		return
 	}
 	_ = n.hs.Close()
 	n.srv.Close()
-	n.hs = nil
-}
-
-// KillAndWipe is the shared-nothing crash: node i drops off the network
-// AND its snapshot directory is destroyed. Nothing of the node survives,
-// so recovery must come from the replicas the proxy pushed to the other
-// nodes — the disk-failover path has nothing to read.
-func (c *Cluster) KillAndWipe(i int) {
-	c.tb.Helper()
-	c.Kill(i)
-	if err := os.RemoveAll(c.Nodes[i].DataDir); err != nil {
-		c.tb.Fatalf("clustertest: wiping %s: %v", c.Nodes[i].DataDir, err)
-	}
-}
-
-// WaitReady blocks until the gateway's /readyz reports ready — no failover
-// or migration in flight and the post-ring-change settle window closed —
-// or the deadline passes.
-func (c *Cluster) WaitReady(deadline time.Duration) {
-	c.tb.Helper()
-	end := time.Now().Add(deadline)
-	for {
-		resp, err := http.Get(c.Gateway.URL + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		if time.Now().After(end) {
-			c.tb.Fatal("clustertest: gateway never became ready")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	n.hs, n.srv = nil, nil
 }
 
 // Restart boots a replacement server for a killed node on the same
 // address and data dir — the "replacement node" heal path. The health loop
 // re-admits it once it answers probes.
-func (c *Cluster) Restart(i int) {
-	c.tb.Helper()
+func (c *Cluster) Restart(i int) error {
 	n := c.Nodes[i]
 	if n.hs != nil {
-		c.tb.Fatal("clustertest: Restart of a live node")
+		return errors.New("clustertest: Restart of a live node")
 	}
-	srv := server.New(server.Config{
-		ClusterMode: true,
-		DataDir:     n.DataDir,
-		Workers:     c.opts.Workers,
-		TTL:         time.Hour,
-		Session:     core.Config{Workers: c.opts.SessionWorkers},
-		Logger:      quietLogger(),
-	})
-	ln, err := net.Listen("tcp", n.ln.Addr().String())
-	if err != nil {
-		c.tb.Fatalf("clustertest: rebinding %s: %v", n.URL, err)
-	}
-	n.srv = srv
-	n.ln = ln
-	n.hs = &http.Server{Handler: srv.Handler()}
-	go func() { _ = n.hs.Serve(ln) }()
+	return c.boot(n, strings.TrimPrefix(n.URL, "http://"))
 }
 
 // Drain gracefully removes node i from the ring, migrating its sessions.
@@ -254,37 +223,19 @@ func (c *Cluster) Owner(token string) int {
 	return -1
 }
 
-// WaitRing blocks until the ring's live member count reaches want (the
-// health loop runs asynchronously) or the deadline passes.
-func (c *Cluster) WaitRing(want int, deadline time.Duration) {
-	c.tb.Helper()
-	end := time.Now().Add(deadline)
-	for {
-		if c.Proxy.Ring().Len() == want {
-			return
-		}
-		if time.Now().After(end) {
-			c.tb.Fatalf("clustertest: ring never reached %d live nodes (have %d)", want, c.Proxy.Ring().Len())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// Close tears the whole rig down.
+// Close tears the whole rig down and removes the node data dirs. It is
+// safe to call more than once.
 func (c *Cluster) Close() {
-	if c.Gateway != nil {
-		c.Gateway.Close()
-		c.Gateway = nil
+	if c.gw != nil {
+		_ = c.gw.Close()
+		c.gw = nil
 	}
 	if c.Proxy != nil {
 		c.Proxy.Close()
 		c.Proxy = nil
 	}
-	for _, n := range c.Nodes {
-		if n.hs != nil {
-			_ = n.hs.Close()
-			n.srv.Close()
-			n.hs = nil
-		}
+	for i, n := range c.Nodes {
+		c.Kill(i)
+		_ = os.RemoveAll(n.DataDir)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // replicaHolders lists which live nodes hold a replica of the token,
 // asked of the nodes' spill stores directly so proxy state cannot hide a
 // missing or duplicated copy.
-func replicaHolders(t testing.TB, c *Cluster, token string) []int {
+func replicaHolders(t testing.TB, c *testRig, token string) []int {
 	t.Helper()
 	var holders []int
 	for i, n := range c.Nodes {

@@ -116,7 +116,7 @@ func (p *Proxy) probe(node string) bool {
 	if err != nil {
 		return false
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	return resp.StatusCode == http.StatusOK
 }
 

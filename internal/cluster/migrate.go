@@ -305,7 +305,7 @@ func (p *Proxy) exportSession(ctx context.Context, node, token string) ([]byte, 
 	if err != nil {
 		return nil, 0, "", err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, 0, "", fmt.Errorf("%s: %s: %w", resp.Status, readErrorBody(resp.Body), errSessionGone)
 	}
@@ -343,7 +343,7 @@ func (p *Proxy) importSession(ctx context.Context, node, token, tenant string, s
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusCreated:
 		return nil
@@ -366,7 +366,7 @@ func (p *Proxy) deleteSession(ctx context.Context, node, token string) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 		return fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
 	}
@@ -585,6 +585,19 @@ func (p *Proxy) setAdminAuth(req *http.Request) {
 	if a := p.adminAuth(); a != "" {
 		req.Header.Set("Authorization", a)
 	}
+}
+
+// maxDrain bounds how much of an unread upstream body drainClose reads
+// before giving up on reusing the connection.
+const maxDrain = 64 << 10
+
+// drainClose reads what is left of an upstream response body (up to
+// maxDrain) and closes it. The transport returns a connection to its
+// keep-alive pool only once the body was read to EOF; closing an unread
+// body kills the connection, and the next call dials a new one.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // readErrorBody extracts the error string from a gdrd error response,

@@ -113,6 +113,10 @@ type Proxy struct {
 	replPend map[string]struct{} // gdr:guarded-by replMu — tokens to (re)push
 	replDrop map[string]struct{} // gdr:guarded-by replMu — tokens to drop
 	replWake chan struct{}       // buffered(1) doorbell for the replicator
+	// replRun serializes the replicator's drains with SyncReplicas, so a
+	// push SyncReplicas queued cannot be taken (and its error lost) by the
+	// background worker.
+	replRun sync.Mutex
 
 	stop     chan struct{}
 	healthWG sync.WaitGroup
@@ -381,7 +385,7 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 	}
 	p.reg.Counter("gdrproxy_notfound_retries_total").Inc()
 	body, _ := json.Marshal(server.ErrorBody{Error: "cluster: session settling after a ring change; retry"})
-	resp.Body.Close()
+	drainClose(resp.Body)
 	resp.StatusCode = http.StatusServiceUnavailable
 	resp.Status = http.StatusText(http.StatusServiceUnavailable)
 	resp.Header = resp.Header.Clone()
@@ -437,7 +441,7 @@ func (p *Proxy) listNode(ctx context.Context, node, auth string) ([]server.Sessi
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: list %s: %s", node, resp.Status)
 	}

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -668,5 +670,74 @@ func TestCreateHeaderRewriteAllocBound(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("header rewrite allocates %.1f times per call, want <= 2", allocs)
+	}
+}
+
+// TestUpstreamConnectionsReused pins the body drain on the proxy's own
+// upstream calls: health probes, replica PUTs (200 and 409), replica
+// deletes, session imports (201 and 409) and session deletes all answer
+// with a body the proxy does not need. Each must still be read to EOF, or
+// the transport drops the connection and the next call dials a new one.
+func TestUpstreamConnectionsReused(t *testing.T) {
+	var round atomic.Int64 // odd rounds answer the conflict variants
+	reply := func(w http.ResponseWriter, ok, conflict int) {
+		code := ok
+		if round.Load()%2 == 1 {
+			code = conflict
+		}
+		w.WriteHeader(code)
+		fmt.Fprint(w, `{"status":"ok","detail":"a body the proxy does not read"}`)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusOK, http.StatusOK)
+	})
+	mux.HandleFunc("PUT /v1/replicas/{key}", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusOK, http.StatusConflict)
+	})
+	mux.HandleFunc("DELETE /v1/replicas/{key}", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusOK, http.StatusOK)
+	})
+	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusCreated, http.StatusConflict)
+	})
+	mux.HandleFunc("DELETE /v1/sessions/{token}", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusOK, http.StatusOK)
+	})
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	p, err := New(Config{Nodes: []string{ts.URL}, HealthEvery: time.Hour, Client: &http.Client{Transport: &http.Transport{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		round.Store(int64(i))
+		if !p.probe(ts.URL) {
+			t.Fatalf("round %d: probe failed", i)
+		}
+		if err := p.putReplica(ctx, ts.URL, "k", uint64(i+1), []byte("snap")); err != nil {
+			t.Fatalf("round %d: putReplica: %v", i, err)
+		}
+		if err := p.deleteReplica(ctx, ts.URL, "k"); err != nil {
+			t.Fatalf("round %d: deleteReplica: %v", i, err)
+		}
+		if err := p.importSession(ctx, ts.URL, "tok", "", []byte("snap")); err != nil {
+			t.Fatalf("round %d: importSession: %v", i, err)
+		}
+		if err := p.deleteSession(ctx, ts.URL, "tok"); err != nil {
+			t.Fatalf("round %d: deleteSession: %v", i, err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("100 sequential upstream calls opened %d connections, want 1", n)
 	}
 }

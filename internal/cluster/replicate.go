@@ -112,7 +112,9 @@ func (p *Proxy) replicator() {
 	for {
 		select {
 		case <-p.replWake:
+			p.replRun.Lock()
 			p.drainReplication(context.Background())
+			p.replRun.Unlock()
 		case <-p.stop:
 			return
 		}
@@ -311,6 +313,8 @@ func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, 
 // queue, audit, drain again. Tests and operational scripts call this
 // before deliberately killing a node, so the kill provably costs nothing.
 func (p *Proxy) SyncReplicas(ctx context.Context) error {
+	p.replRun.Lock()
+	defer p.replRun.Unlock()
 	if err := p.drainReplication(ctx); err != nil {
 		return err
 	}
@@ -331,7 +335,7 @@ func (p *Proxy) putReplica(ctx context.Context, node, key string, seq uint64, da
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		return nil
@@ -354,7 +358,7 @@ func (p *Proxy) getReplica(ctx context.Context, node, key string) ([]byte, uint6
 	if err != nil {
 		return nil, 0, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
 	}
@@ -377,7 +381,7 @@ func (p *Proxy) deleteReplica(ctx context.Context, node, key string) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 		return fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
 	}
@@ -396,7 +400,7 @@ func (p *Proxy) listReplicas(ctx context.Context, node string) ([]server.Replica
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, nil
 	}
